@@ -252,8 +252,9 @@ var shardedStrategies = map[string]core.Variant{
 // E-step walks it shard-by-shard, so peak memory is bounded by the shard
 // size rather than the corpus. The L-HP baseline and the linear-link
 // conformity variants (CHASSIS-L/LI/LN, fixed or parametric-exponential
-// kernel) have sharded drivers; the result is bit-identical to the in-memory
-// fit at any -workers/-shard-events setting. There is no train/test split —
+// kernel) fit out of core; the result is bit-identical to the in-memory
+// fit at any -workers/-shard-events setting, and core.FitSharded's typed
+// error names any other feature (such as -guard) it cannot fit. There is no train/test split —
 // the whole corpus is training data and held-out evaluation needs an
 // in-memory sequence — so the tool reports the model fingerprint and peak
 // RSS instead of likelihoods.
@@ -261,9 +262,6 @@ func runSharded(sess *cliobs.Session, f fitFlags) error {
 	variant, ok := shardedStrategies[f.strategy]
 	if !ok {
 		return fmt.Errorf("sharded fits support -strategy L-HP, CHASSIS-L, CHASSIS-LI, or CHASSIS-LN (got %s): nonlinear links and nonparametric kernels need the full sequence in memory", f.strategy)
-	}
-	if f.guard {
-		return errors.New("sharded fits do not support -guard (its likelihood regression check needs the full sequence)")
 	}
 	if f.repair {
 		return errors.New("-repair applies to JSON input; colstore corpora are validated structurally on open")
@@ -284,6 +282,7 @@ func runSharded(sess *cliobs.Session, f fitFlags) error {
 		Variant: variant, EMIters: f.em, Seed: f.seed, Workers: f.workers,
 		ShardEvents: f.shardEvents, FixedKernel: true, ExpKernel: f.expKernel,
 		CheckpointDir: f.ckptDir, CheckpointEvery: f.ckptEvery, Resume: f.resume,
+		Guard: guard.Policy{Enabled: f.guard},
 	}
 	var opts []core.Option
 	if sess.Observer != nil {

@@ -124,11 +124,11 @@ type checkpointer struct {
 }
 
 // newCheckpointer builds the checkpoint writer for a fit over data
-// identified by dataHash: the in-memory fit passes sequenceFingerprint, the
-// sharded fit the colstore footer fingerprint. The two prefixes differ
-// ("fnv64a:" vs "colstore:"), so a checkpoint is never resumed by the other
-// driver — the fingerprints cover different byte representations of the
-// data, and cross-resuming would bypass that guard.
+// identified by dataHash, the corpus fingerprint: sequenceFingerprint in
+// memory, the colstore footer fingerprint out of core. The two prefixes
+// differ ("fnv64a:" vs "colstore:"), so a checkpoint is never resumed over
+// the other corpus kind — the fingerprints cover different byte
+// representations of the data, and cross-resuming would bypass that guard.
 func newCheckpointer(cfg Config, dataHash string) (*checkpointer, error) {
 	cfgBlob, err := configFingerprint(cfg)
 	if err != nil {

@@ -300,7 +300,7 @@ type Model struct {
 	Mu []float64
 	// GammaI, GammaN, Beta are the conformity parameters (dense M×M;
 	// zero off the active-pair support). Only meaningful when
-	// Variant.ConformityAware.
+	// Variant.ConformityAware; a fitted HP baseline leaves them nil.
 	GammaI, GammaN, Beta [][]float64
 	// Alpha is the free excitation matrix of the HP baselines (and the
 	// snapshot excitation ÂᵢⱼT() exports for conformity variants).

@@ -97,7 +97,7 @@ func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimDa
 	for i := range m.Kernels {
 		m.Kernels[i] = sampled
 	}
-	m.sources = cooccurrenceSources(d.Seq, cfg.KernelSupport)
+	m.sources = cooccurrenceSources(inMemory(d.Seq), cfg.KernelSupport)
 	m.initParams(d.Seq)
 
 	work := d.Seq.StripParents()
@@ -351,7 +351,7 @@ func TestCooccurrenceSources(t *testing.T) {
 		})
 	}
 	seq.Normalize()
-	src := cooccurrenceSources(seq, 2)
+	src := cooccurrenceSources(inMemory(seq), 2)
 	if len(src[1]) != 1 || src[1][0] != 0 {
 		t.Errorf("sources[1] = %v, want [0]", src[1])
 	}

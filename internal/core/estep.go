@@ -46,20 +46,27 @@ func windowStartIn(win []timeline.Activity, off int, t float64) int {
 }
 
 // bootstrapForest samples an initial branching structure (the EM
-// initialization of Section 6): each activity either stays an immigrant or
-// attaches to a preceding activity with probability proportional to the
-// initial kernel's decay — no model parameters involved yet. Events are
-// sharded into fixed chunks, each drawing from its own Split-derived RNG
-// stream, so the sampled forest is identical at any worker count.
+// initialization of Section 6) for an in-memory sequence; see bootstrapPass.
 func (m *Model) bootstrapForest(ctx context.Context, seq *timeline.Sequence) (*branching.Forest, error) {
+	return m.bootstrapPass(ctx, inMemory(seq))
+}
+
+// bootstrapPass samples the initial forest over a corpus: each activity
+// either stays an immigrant or attaches to a preceding activity with
+// probability proportional to the initial kernel's decay — no model
+// parameters involved yet. Events are sharded into fixed chunks, each
+// drawing from its own Split-derived RNG stream, so the sampled forest is
+// identical at any worker count and any window layout.
+func (m *Model) bootstrapPass(ctx context.Context, c corpus) (*branching.Forest, error) {
 	base := rng.New(m.cfg.Seed).Split(101)
-	n := seq.Len()
-	parents := make([]int32, n)
+	parents := make([]int32, c.numEvents())
 	workers := parallel.Workers(m.cfg.Workers)
-	err := parallel.ForEachChunkContext(ctx, workers, n, estepChunkSize, func(c parallel.Range) error {
-		r := base.Split(int64(c.Index) + 1)
-		m.bootstrapChunk(seq.Activities, 0, c, r, parents)
-		return nil
+	err := c.forEach(m.Kernels[0].Support(), func(win []timeline.Activity, off int, chunks []parallel.Range) error {
+		return parallel.DoContext(ctx, workers, len(chunks), func(ci int) error {
+			ch := chunks[ci]
+			m.bootstrapChunk(win, off, ch, base.Split(int64(ch.Index)+1), parents)
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -67,13 +74,13 @@ func (m *Model) bootstrapForest(ctx context.Context, seq *timeline.Sequence) (*b
 	return branching.FromParents32(parents)
 }
 
-// bootstrapChunk is the bootstrap's chunk body, shared between the in-memory
-// fit (win = the whole sequence, off = 0) and the sharded fit (win = a
-// halo-extended shard window holding global events [off, off+len(win)), c a
-// chunk of the same global grid). All indices — c.Lo/c.Hi, the sliding
-// window, the parents slots — are global; win is only the storage they are
-// read through. Keeping one body guarantees both fits perform the identical
-// float operations in the identical order on the identical RNG stream.
+// bootstrapChunk is the bootstrap's chunk body over one corpus window: win
+// holds global events [off, off+len(win)) — the whole sequence with off = 0
+// in memory, a halo-extended shard out of core — and c is a chunk of the
+// global grid. All indices — c.Lo/c.Hi, the sliding window, the parents
+// slots — are global; win is only the storage they are read through, so
+// every window layout performs the identical float operations in the
+// identical order on the identical RNG stream.
 func (m *Model) bootstrapChunk(win []timeline.Activity, off int, c parallel.Range, r *rng.RNG, parents []int32) {
 	ker := m.Kernels[0]
 	support := ker.Support()
@@ -131,7 +138,7 @@ func (m *Model) eStep(seq *timeline.Sequence, conf *conformity.Computer) (*branc
 	return m.eStepMode(nil, seq, conf, m.cfg.MAPEStep, nil, nil)
 }
 
-// estepStats is the per-pass measurement eStepMode fills when the fit is
+// estepStats is the per-pass measurement eStepPass fills when the fit is
 // observed: the mean entropy (nats) of the scored triggering distributions
 // and how many events were scored. Collecting it reads the weights the
 // E-step already built — no RNG draws, no extra passes — so observed and
@@ -141,7 +148,12 @@ type estepStats struct {
 	events  int
 }
 
-// eStepMode lets the EM driver anneal: sampled assignments early (explore
+// eStepMode is eStepPass over an in-memory sequence.
+func (m *Model) eStepMode(ctx context.Context, seq *timeline.Sequence, conf *conformity.Computer, mapMode bool, prev *branching.Forest, stats *estepStats) (*branching.Forest, error) {
+	return m.eStepPass(ctx, inMemory(seq), conf, mapMode, prev, stats)
+}
+
+// eStepPass lets the EM driver anneal: sampled assignments early (explore
 // the posterior while parameters are uninformative), MAP later (converge
 // the trees so the conformity quantities — and with them the likelihood —
 // stop jittering between iterations). When prev is non-nil only a random
@@ -154,17 +166,19 @@ type estepStats struct {
 // state, and writes one disjoint parents slot. The loop is therefore
 // sharded into fixed estepChunkSize chunks; chunk c draws from the stream
 // Split(211+call).Split(c+1) and re-derives its own sliding support window,
-// so the inferred forest is bit-identical for any Workers/GOMAXPROCS.
+// so the inferred forest is bit-identical for any Workers/GOMAXPROCS and
+// any window layout. conf is queried by (receiver, source, time) only,
+// which is why corpus windows never need polarity columns.
 //
 // ctx is polled at chunk boundaries; a cancelled pass returns ctx.Err().
 // When stats is non-nil the pass also measures the scored triggering
 // distributions (per-chunk entropy accumulators, reduced in chunk order so
 // the reported number is itself deterministic).
-func (m *Model) eStepMode(ctx context.Context, seq *timeline.Sequence, conf *conformity.Computer, mapMode bool, prev *branching.Forest, stats *estepStats) (*branching.Forest, error) {
+func (m *Model) eStepPass(ctx context.Context, c corpus, conf *conformity.Computer, mapMode bool, prev *branching.Forest, stats *estepStats) (*branching.Forest, error) {
 	m.estepCalls++
 	base := rng.New(m.cfg.Seed).Split(211 + int64(m.estepCalls))
 	exc := excitation{m: m, conf: conf}
-	n := seq.Len()
+	n := c.numEvents()
 	parents := make([]int32, n)
 	maxSupport := 0.0
 	for _, ker := range m.Kernels {
@@ -175,15 +189,18 @@ func (m *Model) eStepMode(ctx context.Context, seq *timeline.Sequence, conf *con
 	var entSum []float64
 	var entCnt []int
 	if stats != nil {
-		chunks := len(parallel.Chunks(n, estepChunkSize))
+		chunks := (n + estepChunkSize - 1) / estepChunkSize
 		entSum = make([]float64, chunks)
 		entCnt = make([]int, chunks)
 	}
 	workers := parallel.Workers(m.cfg.Workers)
-	err := parallel.ForEachChunkContext(ctx, workers, n, estepChunkSize, func(c parallel.Range) error {
-		r := base.Split(int64(c.Index) + 1)
-		m.eStepChunk(seq.Activities, 0, c, r, exc, maxSupport, mapMode, prev, parents, entSum, entCnt)
-		return nil
+	err := c.forEach(maxSupport, func(win []timeline.Activity, off int, chunks []parallel.Range) error {
+		return parallel.DoContext(ctx, workers, len(chunks), func(ci int) error {
+			ch := chunks[ci]
+			r := base.Split(int64(ch.Index) + 1)
+			m.eStepChunk(win, off, ch, r, exc, maxSupport, mapMode, prev, parents, entSum, entCnt)
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -204,15 +221,13 @@ func (m *Model) eStepMode(ctx context.Context, seq *timeline.Sequence, conf *con
 	return branching.FromParents32(parents)
 }
 
-// eStepChunk is the E-step's chunk body, shared between the in-memory fit
-// (win = the whole sequence, off = 0) and the sharded fit (win = a
-// halo-extended shard window holding global events [off, off+len(win)), c a
-// chunk of the same global grid). All indices are global — c.Lo/c.Hi, the
-// sliding support window, prev-forest lookups, parents slots, and the
-// entSum/entCnt accumulators (indexed by global chunk index) — so a shard
-// boundary changes which storage the floats are read from, never which
-// floats are read or in what order. That shared-body discipline is the
-// bit-identity argument for the out-of-core fit (DESIGN.md §15).
+// eStepChunk is the E-step's chunk body over one corpus window (see
+// bootstrapChunk for the window contract). All indices are global —
+// c.Lo/c.Hi, the sliding support window, prev-forest lookups, parents
+// slots, and the entSum/entCnt accumulators (indexed by global chunk
+// index) — so a shard boundary changes which storage the floats are read
+// from, never which floats are read or in what order: the bit-identity
+// argument for the out-of-core fit (DESIGN.md §15).
 func (m *Model) eStepChunk(win []timeline.Activity, off int, c parallel.Range, r *rng.RNG, exc excitation, maxSupport float64, mapMode bool, prev *branching.Forest, parents []int32, entSum []float64, entCnt []int) {
 	hi := off + len(win)
 	// Pooled per-chunk scratch; see bootstrapChunk.

@@ -69,6 +69,18 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 		// whole window.
 		cfg.KernelSupport = supportHeuristic(seq)
 	}
+	// Unless the platform exposes connectivity, the sequence must be
+	// treated as unlabeled: inference never reads the ground-truth parents.
+	return runEM(ctx, &memCorpus{seq: seq.StripParents(), train: seq}, cfg)
+}
+
+// runEM is the semi-parametric EM of Sections 6–7 over a corpus — the one
+// driver behind FitContext and FitSharded. cfg is filled and has its kernel
+// support resolved; the caller has validated the corpus. The steps that need
+// the whole sequence in memory (observed trees, the nonparametric kernel
+// update, the nonlinear M-step, the training LL) read it from an in-memory
+// corpus; FitSharded's gates are why an out-of-core fit never reaches them.
+func runEM(ctx context.Context, c corpus, cfg Config) (*Model, error) {
 	if cfg.InitKernelRate <= 0 {
 		cfg.InitKernelRate = 5 / cfg.KernelSupport
 	}
@@ -81,6 +93,10 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 	if err != nil {
 		return nil, err
 	}
+	var train, work *timeline.Sequence // nil out of core
+	if mc, ok := c.(*memCorpus); ok {
+		train, work = mc.train, mc.seq
+	}
 
 	obsv := cfg.observer
 	metrics := cfg.metrics
@@ -91,22 +107,22 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 		cfg.metrics = metrics
 	}
 
+	// Baseline variants allocate only the excitation matrix — the conformity
+	// parameter matrices stay nil. Conformity-aware variants also carry the
+	// dense conformity parameter set.
 	m := &Model{
-		M: seq.M, Variant: cfg.Variant, Horizon: seq.Horizon,
-		Mu:     make([]float64, seq.M),
-		GammaI: dense(seq.M), GammaN: dense(seq.M),
-		Beta: dense(seq.M), Alpha: dense(seq.M),
-		Kernels: make([]kernel.Kernel, seq.M),
-		cfg:     cfg, link: link, seq: seq,
+		M: c.dims(), Variant: cfg.Variant, Horizon: c.horizon(),
+		cfg: cfg, link: link, seq: train,
 		stepScale: 1,
 	}
+	m.Mu, m.Alpha, m.Kernels = make([]float64, m.M), dense(m.M), make([]kernel.Kernel, m.M)
+	if cfg.Variant.ConformityAware {
+		m.GammaI, m.GammaN, m.Beta = dense(m.M), dense(m.M), dense(m.M)
+	}
 
-	// Unless the platform exposes connectivity, the sequence must be
-	// treated as unlabeled: inference never reads the ground-truth parents.
-	work := seq.StripParents()
 	var observed *branching.Forest
 	if cfg.UseObservedTrees {
-		observed, err = branching.FromSequence(seq)
+		observed, err = branching.FromSequence(train)
 		if err != nil {
 			return nil, fmt.Errorf("core: UseObservedTrees: %w", err)
 		}
@@ -114,7 +130,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 
 	var ckpt *checkpointer
 	if cfg.CheckpointDir != "" {
-		if ckpt, err = newCheckpointer(cfg, sequenceFingerprint(seq)); err != nil {
+		if ckpt, err = newCheckpointer(cfg, c.fingerprint()); err != nil {
 			return nil, err
 		}
 	}
@@ -148,8 +164,8 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 			return nil, err
 		}
 
-		m.sources = cooccurrenceSources(seq, cfg.KernelSupport)
-		m.initParams(seq)
+		m.sources = cooccurrenceSources(c, cfg.KernelSupport)
+		m.initParams(work)
 
 		_, linear := m.link.(hawkes.LinearLink)
 		// The warm start (L-HP pilot + μ band) exists to bootstrap *tree
@@ -170,7 +186,8 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 			// trees, kernels, and — crucially — a clean exogenous/endogenous
 			// split: the linear model's μ is the exogenous rate, which
 			// nonlinear links (whose μ is a log-rate that would otherwise
-			// absorb the whole stream) inherit as ln(μ_linear).
+			// absorb the whole stream) inherit as ln(μ_linear). The pilot runs
+			// this driver on the same corpus.
 			hpCfg := cfg
 			hpCfg.Variant = VariantLHP
 			hpCfg.EMIters = cfg.EMIters/3 + 2
@@ -183,7 +200,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 			hpCfg.observer = nil
 			hpCfg.CheckpointDir = ""
 			hpCfg.Resume = false
-			hp, err := FitContext(ctx, seq, hpCfg)
+			hp, err := runEM(ctx, c, hpCfg)
 			if err != nil {
 				return nil, wrapCancel("warmstart", 0, err)
 			}
@@ -206,7 +223,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 				}
 			}
 		} else {
-			forest, err = m.bootstrapForest(ctx, work)
+			forest, err = m.bootstrapPass(ctx, c)
 			if err != nil {
 				return nil, wrapCancel("bootstrap", 0, err)
 			}
@@ -215,12 +232,8 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 		// those are the pairs with interaction history, hence nonzero
 		// conformity. (Co-occurrence ranks fill the remaining slots.)
 		if cfg.Variant.ConformityAware && forest != nil {
-			src := seq
-			if observed == nil {
-				src = work
-			}
-			m.sources = forestSources(src, forest, m.sources)
-			m.initParams(seq)
+			m.sources = forestSources(c, forest, m.sources)
+			m.initParams(work)
 			if m.muLo != nil {
 				// Re-initializing overwrote the pinned μ; restore the band
 				// centers.
@@ -249,7 +262,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 			return nil
 		}
 		var err error
-		conf, err = conformity.New(work, forest, cfg.Conformity)
+		conf, err = c.buildConformity(forest, cfg.Conformity)
 		return err
 	}
 	if err := rebuildConf(); err != nil {
@@ -259,8 +272,10 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 	// The training LL is evaluated per iteration when the caller asked for
 	// the history, an observer wants to report it, or the guard needs it for
 	// regression checks — a pure computation either way, so neither
-	// observing nor guarding a fit can change the fitted parameters.
-	trackLL := cfg.TrackHistory || obsv != nil || guardOn
+	// observing nor guarding a fit can change the fitted parameters. It
+	// needs the sequence in memory: an observed out-of-core fit reports
+	// TrainLLValid == false.
+	trackLL := work != nil && (cfg.TrackHistory || obsv != nil || guardOn)
 	eulerCounter := metrics.Counter("hawkes.euler_steps")
 
 	// fail flushes the last captured checkpoint before an error exit, so a
@@ -295,7 +310,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 			ms = &mstepStats{}
 		}
 		msStart := time.Now()
-		if err = m.mStep(ctx, work, conf, ms); err != nil {
+		if err = m.mStep(ctx, c, conf, ms); err != nil {
 			err = wrapCancel("mstep", iterNo, err)
 			return
 		}
@@ -338,7 +353,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 				es = &estepStats{}
 			}
 			eStart := time.Now()
-			forest, err = m.eStepMode(ctx, work, conf, mapMode, forest, es)
+			forest, err = m.eStepPass(ctx, c, conf, mapMode, forest, es)
 			if err != nil {
 				err = wrapCancel("estep", iterNo, err)
 				return
@@ -464,14 +479,14 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 	// Final tree readout under the converged parameters (observed trees
 	// are kept verbatim).
 	if observed == nil {
-		forest, err = m.eStepMode(ctx, work, conf, true, nil, nil)
+		forest, err = m.eStepPass(ctx, c, conf, true, nil, nil)
 		if err != nil {
 			return nil, wrapCancel("readout", 0, err)
 		}
 	}
 	m.Forest = forest
 	if cfg.Variant.ConformityAware {
-		m.Conf, err = conformity.New(work, forest, cfg.Conformity)
+		m.Conf, err = c.buildConformity(forest, cfg.Conformity)
 		if err != nil {
 			return nil, err
 		}
@@ -495,8 +510,7 @@ func FitContext(ctx context.Context, seq *timeline.Sequence, cfg Config, opts ..
 // makes early E-steps attribute everything to the most recent candidate, and
 // the nonparametric updates then reinforce that choice — the floor keeps
 // slow triggering tails (replies to a cascade's root long after it was
-// posted) representable from the start. Shared by the in-memory and sharded
-// drivers; it reads only the resolved config.
+// posted) representable from the start. It reads only the resolved config.
 func (m *Model) initKernels() error {
 	initKer, err := kernel.NewExponential(m.cfg.InitKernelRate)
 	if err != nil {
@@ -532,7 +546,7 @@ func (m *Model) initKernels() error {
 // (linear link; the exp link uses the log event rate so eᵘ starts at the
 // right scale) and the coefficients {γᴵ, β, γᴺ} — or α for HP baselines —
 // from U[0, 0.1], restricted to the active pair support. For linear links
-// seq is only consulted lazily (the sharded driver passes nil: its corpus
+// seq is only consulted lazily (an out-of-core fit passes nil: its corpus
 // has no in-memory sequence, and the linear draws need none).
 func (m *Model) initParams(seq *timeline.Sequence) {
 	r := rng.New(m.cfg.Seed).Split(307)
@@ -564,25 +578,6 @@ func (m *Model) initParams(seq *timeline.Sequence) {
 	}
 }
 
-// medianGap returns the median gap between consecutive activities.
-func medianGap(seq *timeline.Sequence) float64 {
-	n := seq.Len()
-	if n < 2 {
-		return 0
-	}
-	gaps := make([]float64, 0, n-1)
-	for k := 1; k < n; k++ {
-		if g := seq.Activities[k].Time - seq.Activities[k-1].Time; g > 0 {
-			gaps = append(gaps, g)
-		}
-	}
-	if len(gaps) == 0 {
-		return 0
-	}
-	sort.Float64s(gaps)
-	return gaps[len(gaps)/2]
-}
-
 // supportHeuristic picks the triggering-kernel horizon from the inter-event
 // gap distribution: max(15×q80, 20×median), capped at Horizon/10.
 func supportHeuristic(seq *timeline.Sequence) float64 {
@@ -594,8 +589,9 @@ func supportHeuristic(seq *timeline.Sequence) float64 {
 }
 
 // supportFromTimes is supportHeuristic over a bare timestamp column — the
-// form both drivers share, so the sharded fit derives the identical support
-// (and with it identical kernels) from a colstore corpus.
+// form FitSharded feeds from its resident columns, so an out-of-core fit
+// derives the identical support (and with it identical kernels) from a
+// colstore corpus.
 func supportFromTimes(times []float64, horizon float64) float64 {
 	n := len(times)
 	hi := horizon / 10
@@ -626,35 +622,23 @@ func supportFromTimes(times []float64, horizon float64) float64 {
 // carry conformity signal. Remaining slots (up to MaxSourcesPerDim) are
 // filled from the temporal co-occurrence ranking so newly-forming pairs can
 // still be picked up.
-func forestSources(seq *timeline.Sequence, forest *branching.Forest, coocc [][]int) [][]int {
-	users := make([]uint32, seq.Len())
-	for k := range seq.Activities {
-		users[k] = uint32(seq.Activities[k].User)
-	}
-	return forestSourcesFromCols(users, seq.M, forest, coocc)
-}
-
-// forestSourcesFromCols is forestSources over a bare user column — the form
-// the sharded driver feeds straight from its flat columns. One ranking body
-// for both drivers keeps the conformity pair support (and the initParams RNG
-// consumption that follows it) bit-identical between them.
-func forestSourcesFromCols(users []uint32, m int, forest *branching.Forest, coocc [][]int) [][]int {
-	counts := make([]map[int]int, m)
+func forestSources(src corpus, forest *branching.Forest, coocc [][]int) [][]int {
+	users := make([]int, 0, src.numEvents())
+	src.scan(func(_ float64, user int) { users = append(users, user) })
+	counts := make([]map[int]int, src.dims())
 	for i := range counts {
 		counts[i] = make(map[int]int)
 	}
-	for k := range users {
+	for k, i := range users {
 		p := forest.Parent(k)
 		if p == timeline.NoParent {
 			continue
 		}
-		i := int(users[k])
-		j := int(users[p])
-		if i != j {
+		if j := users[p]; i != j {
 			counts[i][j]++
 		}
 	}
-	out := make([][]int, m)
+	out := make([][]int, len(counts))
 	for i := range out {
 		type jc struct{ j, c int }
 		var list []jc
@@ -693,41 +677,32 @@ func forestSourcesFromCols(users []uint32, m int, forest *branching.Forest, cooc
 
 // cooccurrenceSources finds, per receiver i, the source users whose events
 // most often precede i's events within the kernel support — the sparse
-// support the M-step optimizes over.
-func cooccurrenceSources(seq *timeline.Sequence, support float64) [][]int {
-	times := make([]float64, seq.Len())
-	users := make([]uint32, seq.Len())
-	for k := range seq.Activities {
-		times[k] = seq.Activities[k].Time
-		users[k] = uint32(seq.Activities[k].User)
-	}
-	return cooccurrenceFromCols(times, users, seq.M, support)
-}
-
-// cooccurrenceFromCols is cooccurrenceSources over bare (time, user)
-// columns, the form the sharded driver feeds straight from a colstore scan.
-// One body for both drivers means one ranking — the pair support, and
-// therefore the initParams RNG consumption, cannot diverge between them.
-func cooccurrenceFromCols(times []float64, users []uint32, m int, support float64) [][]int {
-	counts := make([]map[int]int, m)
+// support the M-step optimizes over. One chronological scan: the events
+// within one support before the current one stay in a queue.
+func cooccurrenceSources(src corpus, support float64) [][]int {
+	counts := make([]map[int]int, src.dims())
 	for i := range counts {
 		counts[i] = make(map[int]int)
 	}
-	lo := 0
-	for k := range times {
-		i := int(users[k])
-		t := times[k]
-		for lo < len(times) && times[lo] < t-support {
-			lo++
+	type event struct {
+		t    float64
+		user int
+	}
+	var recent []event
+	src.scan(func(t float64, i int) {
+		drop := 0
+		for drop < len(recent) && recent[drop].t < t-support {
+			drop++
 		}
-		for w := lo; w < k; w++ {
-			j := int(users[w])
-			if j != i {
-				counts[i][j]++
+		recent = recent[drop:]
+		for _, e := range recent {
+			if e.user != i {
+				counts[i][e.user]++
 			}
 		}
-	}
-	out := make([][]int, m)
+		recent = append(recent, event{t, i})
+	})
+	out := make([][]int, len(counts))
 	for i := range out {
 		type jc struct{ j, c int }
 		var list []jc

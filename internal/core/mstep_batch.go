@@ -6,7 +6,6 @@ import (
 	"chassis/internal/conformity"
 	"chassis/internal/kernel"
 	"chassis/internal/parallel"
-	"chassis/internal/timeline"
 )
 
 // mstepBatchDims caps how many dimensions one batched M-step pass assembles
@@ -31,29 +30,6 @@ var mstepBatchDims = 2048
 // is purely a memory knob. (A variable only so tests can exercise packing.)
 var mstepBatchSrcEvents = int64(4 << 20)
 
-// eventSource is the event stream a batched M-step scans: chronological
-// (time, user) pairs, re-scannable once per dimension batch. The in-memory
-// fit wraps the training sequence; the sharded fit wraps a colstore reader,
-// which is the whole point — the M-step only ever needs one pass of times
-// and users, never the corpus in memory.
-type eventSource interface {
-	horizon() float64
-	scan(fn func(t float64, user int)) error
-}
-
-// memEvents adapts an in-memory sequence to eventSource.
-type memEvents struct{ seq *timeline.Sequence }
-
-func (s memEvents) horizon() float64 { return s.seq.Horizon }
-
-func (s memEvents) scan(fn func(t float64, user int)) error {
-	for k := range s.seq.Activities {
-		a := &s.seq.Activities[k]
-		fn(a.Time, int(a.User))
-	}
-	return nil
-}
-
 // dimSrcRef marks that user j is a source for one batch slot.
 type dimSrcRef struct {
 	slot int32 // index into the batch's slot array
@@ -72,7 +48,7 @@ type slotState struct {
 // across batches so an M-step allocates them once. Entries are reset to
 // their empty state after every batch.
 type batchScratch struct {
-	slotOf  []int32     // user -> batch slot, -1 outside the batch
+	slotOf  []int32       // user -> batch slot, -1 outside the batch
 	srcRefs [][]dimSrcRef // user -> slots listing it as a source
 }
 
@@ -96,7 +72,7 @@ func newBatchScratch(m int) *batchScratch {
 // prunes with; since scan times are nondecreasing, pruned sources stay
 // prunable. Grid windows (nonlinear links) are out of scope — nonlinear fits
 // keep the per-dim builder.
-func (m *Model) buildDimDataBatch(src eventSource, conf *conformity.Computer, lo, hi int, scr *batchScratch) ([]*dimData, error) {
+func (m *Model) buildDimDataBatch(src corpus, conf *conformity.Computer, lo, hi int, scr *batchScratch) []*dimData {
 	if scr == nil {
 		scr = newBatchScratch(m.M)
 	}
@@ -117,7 +93,7 @@ func (m *Model) buildDimDataBatch(src eventSource, conf *conformity.Computer, lo
 		}
 	}
 
-	err := src.scan(func(t float64, j int) {
+	src.scan(func(t float64, j int) {
 		// Target window first: the per-dim builder only admits sources
 		// strictly before the target event, so an event that is both a
 		// target and a source contributes to later windows only.
@@ -151,22 +127,18 @@ func (m *Model) buildDimDataBatch(src eventSource, conf *conformity.Computer, lo
 			st.d.src = append(st.d.src, e)
 		}
 	})
-	// Reset the shared per-user indexes before handling errors so a failed
-	// batch leaves the scratch clean for the next one.
+	// Reset the shared per-user indexes for the next batch.
 	for i := lo; i < hi; i++ {
 		scr.slotOf[i] = -1
 		for _, j := range m.sources[i] {
 			scr.srcRefs[j] = scr.srcRefs[j][:0]
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
 	out := make([]*dimData, hi-lo)
 	for s := range slots {
 		out[s] = slots[s].d
 	}
-	return out, nil
+	return out
 }
 
 // mStepBatches is the linear-link M-step: dimensions are processed in fixed
@@ -175,13 +147,10 @@ func (m *Model) buildDimDataBatch(src eventSource, conf *conformity.Computer, lo
 // dimData — the property the out-of-core sharded fit relies on — while the
 // per-dimension optimization stays deterministic at any worker count or
 // batch size.
-func (m *Model) mStepBatches(ctx context.Context, src eventSource, conf *conformity.Computer, initStep float64, norms []float64) error {
+func (m *Model) mStepBatches(ctx context.Context, src corpus, conf *conformity.Computer, initStep float64, norms []float64) error {
 	scr := newBatchScratch(m.M)
 	workers := parallel.Workers(m.cfg.Workers)
-	cost, err := m.dimSrcCosts(src)
-	if err != nil {
-		return err
-	}
+	cost := m.dimSrcCosts(src)
 	for lo := 0; lo < m.M; {
 		hi := lo + 1
 		budget := cost[lo]
@@ -189,11 +158,8 @@ func (m *Model) mStepBatches(ctx context.Context, src eventSource, conf *conform
 			budget += cost[hi]
 			hi++
 		}
-		data, err := m.buildDimDataBatch(src, conf, lo, hi, scr)
-		if err != nil {
-			return err
-		}
-		err = parallel.DoContext(ctx, workers, hi-lo, func(bi int) error {
+		data := m.buildDimDataBatch(src, conf, lo, hi, scr)
+		err := parallel.DoContext(ctx, workers, hi-lo, func(bi int) error {
 			i := lo + bi
 			norm := m.optimizeDim(i, data[bi], conf, initStep, norms != nil)
 			if norms != nil {
@@ -213,11 +179,9 @@ func (m *Model) mStepBatches(ctx context.Context, src eventSource, conf *conform
 // will hold: the summed event counts of its source users (plus one so an
 // empty dimension still has positive cost and the packing loop advances).
 // One flat counting scan of the stream; exact, not an estimate.
-func (m *Model) dimSrcCosts(src eventSource) ([]int64, error) {
+func (m *Model) dimSrcCosts(src corpus) []int64 {
 	perUser := make([]int64, m.M)
-	if err := src.scan(func(_ float64, j int) { perUser[j]++ }); err != nil {
-		return nil, err
-	}
+	src.scan(func(_ float64, j int) { perUser[j]++ })
 	cost := make([]int64, m.M)
 	for i := range cost {
 		c := int64(1)
@@ -226,5 +190,5 @@ func (m *Model) dimSrcCosts(src eventSource) ([]int64, error) {
 		}
 		cost[i] = c
 	}
-	return cost, nil
+	return cost
 }

@@ -83,11 +83,3 @@ func wrapCancel(phase string, iter int, err error) error {
 	}
 	return &CanceledError{Phase: phase, Iteration: iter, Err: err}
 }
-
-// ctxErr polls a possibly-nil context.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
