@@ -1,7 +1,8 @@
-// Package benchgate is the shared tooling behind the repo's benchmark
-// guards (BENCH_hotpath.json, BENCH_estep.json, BENCH_serve.json): loading
-// a checked-in JSON baseline and holding a fresh measurement to it within a
-// relative tolerance.
+// Package benchgate is the shared tooling behind the repo's five benchmark
+// guards — estep (BENCH_estep.json), hotpath (BENCH_hotpath.json), serve
+// (BENCH_serve.json), wal (BENCH_wal.json) and scale (BENCH_scale.json):
+// loading a checked-in JSON baseline and holding a fresh measurement to it
+// within a relative tolerance.
 //
 // Every guard used to carry its own copy of the read-unmarshal-compare
 // dance; centralizing it keeps the gate semantics (and the error wording

@@ -1,6 +1,7 @@
 package hawkes
 
 import (
+	"fmt"
 	"math"
 
 	"chassis/internal/rng"
@@ -8,52 +9,61 @@ import (
 	"chassis/internal/timeline"
 )
 
-// This file exports the exponential-recursion state of an observed history
+// This file holds the exponential-recursion state of an observed history,
 // so prediction-by-forward-simulation can continue from it without
-// replaying the history. fastpath.go's sweeps rebuild the per-receiver
-// state R from scratch on every pass; Continue used to do worse — every
-// thinning candidate of every Monte-Carlo draw re-scanned the history
-// through Intensity. ContState collapses the whole history into M scalars
-// once, after which continuing the process costs O(new events · M)
-// regardless of how long the history was. The state is immutable after
-// construction, so one ContState can back any number of concurrent draws
-// (and be cached across requests — internal/serve keys it by history
-// fingerprint).
-
-// ContState is the exponential-kernel continuation state of a history at
-// its horizon: for each receiving dimension i,
+// replaying the history, and streaming ingestion can extend it one event
+// at a time. fastpath.go's sweeps rebuild the per-receiver state from
+// scratch on every pass; ContState collapses the whole history into M
+// scalars once, after which continuing the process costs O(new events · M)
+// regardless of how long the history was.
 //
-//	R[i] = Σ_{t_l ≤ T0} αᵢ(t_l) · e^{−βᵢ·(T0 − t_l)}
+// The state is horizon-free. R is held un-decayed, at each receiver's last
+// touch, and the decay to a horizon happens only inside Continue, on a
+// scratch copy. The reason is bit-identity: float decay does not compose —
+// e^{−r(T−t)}·e^{−r(s−T)} ≠ e^{−r(s−t)} in IEEE 754 — so a state decayed to
+// a horizon could not be extended exactly. Keeping the loop-internal values
+// instead makes Append perform literally the same operations, in the same
+// order, whether the history arrives in one sweep or event by event, and
+// lets one state prime a continuation at any horizon ≥ LastTime.
+
+// ContState is the appendable exponential-kernel continuation state of a
+// history: for each receiving dimension i,
+//
+//	R[i] = Σ_{t_l} αᵢ(t_l) · e^{−βᵢ·(Last[i] − t_l)}
 //
 // so the pre-link aggregate at any later time t is
-// μᵢ + scaleᵢ·βᵢ·R[i]·e^{−βᵢ·(t−T0)} plus the contributions of events
-// simulated after T0. Valid only for the process (and parameter values) it
+// μᵢ + scaleᵢ·βᵢ·R[i]·e^{−βᵢ·(t−Last[i])} plus the contributions of events
+// simulated since. Valid only for the process (and parameter values) it
 // was built from; Continue re-derives the bank and refuses a state whose
 // shape or kernel parameters no longer match.
+//
+// Continue and predict only read a state, so one state can back any number
+// of concurrent draws and be shared by a cache. Append mutates it in place:
+// code that keeps appending to a state others may read appends to a Clone.
 type ContState struct {
-	// T0 is the history horizon the state was evaluated at.
-	T0 float64
-	// N is the history length the state was built from (staleness guard:
-	// a state built from a prefix must not prime a longer history).
+	// N counts the events absorbed so far (staleness guard: a state built
+	// from a prefix must not prime a longer history).
 	N int
-	// R is the per-receiver recursion state at T0, in excitation units
-	// (pre scale·rate), matching fastpath.go's convention.
+	// LastTime is the newest absorbed event's time (append ordering guard;
+	// a state cannot prime a horizon before it).
+	LastTime float64
+	// R is the per-receiver recursion value in excitation units (pre
+	// scale·rate, matching fastpath.go's convention), decayed only to
+	// Last[i].
 	R []float64
+	// Last is the per-receiver last touch time.
+	Last []float64
 	// Rate and Scale are the per-receiver exponential-kernel parameters the
-	// state was built under; Continue cross-checks them against the live
+	// state was built under; UsableState cross-checks them against the live
 	// bank so a state cannot silently prime a reparameterized process.
 	Rate, Scale []float64
 }
 
-// HistoryState builds the continuation state of history at its horizon, or
-// nil when the process cannot use one: a non-exponential kernel bank, the
-// fast path disabled, or a history whose events run past its horizon
-// (Continue would double-count them). Building is one O(n·M) lazy-decay
-// sweep — the same cost as a single naive intensity evaluation — and the
-// result is read-only: safe to share across goroutines and reuse for any
-// number of Continue calls over the same history.
-func (p *Process) HistoryState(history *timeline.Sequence) *ContState {
-	if p.NoFastPath || history == nil {
+// NewContState returns the empty state bound to the process's current
+// exponential bank, or nil when the process cannot use one: fast path
+// disabled, or a non-exponential kernel bank.
+func (p *Process) NewContState() *ContState {
+	if p.NoFastPath {
 		return nil
 	}
 	eb, ok := exponentialBank(p.Kernels, p.M)
@@ -61,53 +71,41 @@ func (p *Process) HistoryState(history *timeline.Sequence) *ContState {
 		return nil
 	}
 	defer eb.release()
-	t0 := history.Horizon
-	st := &ContState{
-		T0:    t0,
-		N:     history.Len(),
+	return &ContState{
 		R:     make([]float64, p.M),
+		Last:  make([]float64, p.M),
 		Rate:  append([]float64(nil), eb.rate...),
 		Scale: append([]float64(nil), eb.scale...),
 	}
-	last := scratch.Floats(p.M)
-	defer scratch.PutFloats(last)
-	for k := range history.Activities {
-		a := &history.Activities[k]
-		if a.Time > t0 || math.IsNaN(a.Time) {
-			return nil // event beyond the horizon: the state would be wrong
-		}
-		j := int(a.User)
-		for i := 0; i < p.M; i++ {
-			alpha := p.Exc.Alpha(i, j, a.Time)
-			if alpha == 0 {
-				continue
-			}
-			if st.R[i] != 0 && last[i] != a.Time {
-				st.R[i] *= math.Exp(-st.Rate[i] * (a.Time - last[i]))
-			}
-			last[i] = a.Time
-			st.R[i] += alpha
-		}
+}
+
+// HistoryState builds the continuation state of history, or nil when the
+// process cannot use one (see NewContState) or the history is not a valid
+// chronological run ending by its horizon: events out of order, a
+// non-finite time, an out-of-range user, or an event past the horizon
+// (Continue would double-count it). Building is one O(n·M) lazy-decay
+// sweep — the same cost as a single naive intensity evaluation.
+func (p *Process) HistoryState(history *timeline.Sequence) *ContState {
+	if history == nil {
+		return nil
 	}
-	for i := 0; i < p.M; i++ {
-		if st.R[i] != 0 && last[i] != t0 {
-			st.R[i] *= math.Exp(-st.Rate[i] * (t0 - last[i]))
-		}
+	st := p.NewContState()
+	if st == nil || st.AppendAll(p, history.Activities) != nil || !(st.LastTime <= history.Horizon) {
+		return nil
 	}
 	return st
 }
 
-// usableState reports whether st can prime a continuation of history under
-// the process's current parameters: same shape, same horizon, and the same
-// per-receiver exponential kernels it was built from. O(M).
-func (p *Process) usableState(st *ContState, history *timeline.Sequence) bool {
+// UsableState reports whether st can keep absorbing events and prime
+// continuations under the process's current parameters: same shape and
+// the same per-receiver exponential kernels it was built under. O(M). A
+// model hot-reload that changes kernel parameters invalidates states;
+// callers rebuild from the event tail.
+func (p *Process) UsableState(st *ContState) bool {
 	if st == nil || p.NoFastPath {
 		return false
 	}
-	if st.N != history.Len() || st.T0 != history.Horizon {
-		return false
-	}
-	if len(st.R) != p.M || len(st.Rate) != p.M || len(st.Scale) != p.M {
+	if len(st.R) != p.M || len(st.Last) != p.M || len(st.Rate) != p.M || len(st.Scale) != p.M {
 		return false
 	}
 	eb, ok := exponentialBank(p.Kernels, p.M)
@@ -121,6 +119,77 @@ func (p *Process) usableState(st *ContState, history *timeline.Sequence) bool {
 		}
 	}
 	return true
+}
+
+// Append absorbs one event: lazy-decay each touched receiver from its own
+// last touch time, then add the excitation. This is the only copy of the
+// history-state sweep, which is what makes event-by-event ingestion
+// bit-identical to a one-shot HistoryState. Events must arrive in
+// chronological order (ties allowed).
+func (st *ContState) Append(p *Process, user int, t float64) error {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("hawkes: state append: non-finite time %v", t)
+	}
+	if st.N > 0 && t < st.LastTime {
+		return fmt.Errorf("hawkes: state append: t=%g precedes last absorbed event at t=%g", t, st.LastTime)
+	}
+	if user < 0 || user >= len(st.R) {
+		return fmt.Errorf("hawkes: state append: user %d outside [0,%d)", user, len(st.R))
+	}
+	for i := range st.R {
+		alpha := p.Exc.Alpha(i, user, t)
+		if alpha == 0 {
+			continue
+		}
+		if st.R[i] != 0 && st.Last[i] != t {
+			st.R[i] *= math.Exp(-st.Rate[i] * (t - st.Last[i]))
+		}
+		st.Last[i] = t
+		st.R[i] += alpha
+	}
+	st.N++
+	st.LastTime = t
+	return nil
+}
+
+// AppendAll absorbs a chronological run of events (Append in a loop; the
+// first error stops the run with the state reflecting the events already
+// absorbed).
+func (st *ContState) AppendAll(p *Process, acts []timeline.Activity) error {
+	for k := range acts {
+		if err := st.Append(p, int(acts[k].User), acts[k].Time); err != nil {
+			return fmt.Errorf("event %d: %w", k, err)
+		}
+	}
+	return nil
+}
+
+// Clone returns an independent deep copy (nil for nil): a shared state stays
+// frozen while the copy absorbs more events.
+func (st *ContState) Clone() *ContState {
+	if st == nil {
+		return nil
+	}
+	return &ContState{
+		N:        st.N,
+		LastTime: st.LastTime,
+		R:        append([]float64(nil), st.R...),
+		Last:     append([]float64(nil), st.Last...),
+		Rate:     append([]float64(nil), st.Rate...),
+		Scale:    append([]float64(nil), st.Scale...),
+	}
+}
+
+// decayTo writes R decayed to t ≥ LastTime into dst, one receiver at a time
+// from its own last touch — the step that closes the history sweep before
+// a continuation starts at t.
+func (st *ContState) decayTo(dst []float64, t float64) {
+	for i, r := range st.R {
+		if r != 0 && st.Last[i] != t {
+			r *= math.Exp(-st.Rate[i] * (t - st.Last[i]))
+		}
+		dst[i] = r
+	}
 }
 
 // continueExpFast is Continue's primed path: the history's excitation
@@ -139,13 +208,13 @@ func (p *Process) continueExpFast(r *rng.RNG, history *timeline.Sequence, to flo
 	seq := history.Clone()
 	seq.Horizon = to
 	m := p.M
-	rv := scratch.Floats(m) // working copy: st is shared and immutable
+	rv := scratch.Floats(m) // working copy: st is shared and only read
 	lambda := scratch.Floats(m)
 	defer scratch.PutFloats(rv)
 	defer scratch.PutFloats(lambda)
-	copy(rv, st.R)
+	t := history.Horizon
+	st.decayTo(rv, t)
 
-	t := st.T0
 	for len(seq.Activities) < opts.MaxEvents {
 		var bound float64
 		for i := 0; i < m; i++ {

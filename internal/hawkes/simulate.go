@@ -27,11 +27,12 @@ type SimOptions struct {
 	// non-increasing kernels; the default is 1.5.
 	BoundMargin float64
 	// State, honored by Continue only, supplies the history's precomputed
-	// exponential continuation state (Process.HistoryState) so the primed
-	// O(new events · M) loop runs instead of the generic history-rescanning
-	// Ogata loop. It must have been built by the same process over the same
-	// history; Continue falls back to the generic path when the state does
-	// not match. Ignored by Simulate.
+	// exponential continuation state (Process.HistoryState, or a ContState
+	// appended event by event) so the primed O(new events · M) loop runs
+	// instead of the generic history-rescanning Ogata loop. Continue only
+	// reads it. It must have absorbed exactly the history's events under
+	// the same process; Continue falls back to the generic path when the
+	// state does not match. Ignored by Simulate.
 	State *ContState
 }
 
@@ -229,8 +230,10 @@ func (p *Process) simulateGeneric(r *rng.RNG, opts SimOptions) (*timeline.Sequen
 // length to get the forecast. Used by prediction-by-forward-simulation.
 //
 // When opts.State carries the history's continuation state
-// (Process.HistoryState) and it matches the process and history, the primed
-// exponential loop runs — O(new events · M), independent of history length.
+// (Process.HistoryState) and it matches — UsableState holds, it absorbed
+// exactly the history's events, and its last event is not after the
+// history's horizon — the primed exponential loop runs — O(new events · M),
+// independent of history length.
 // Otherwise the generic Ogata loop evaluates intensities against the
 // combined stream directly.
 func (p *Process) Continue(r *rng.RNG, history *timeline.Sequence, to float64, opts SimOptions) (*timeline.Sequence, error) {
@@ -248,8 +251,8 @@ func (p *Process) Continue(r *rng.RNG, history *timeline.Sequence, to float64, o
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	if opts.State != nil && p.usableState(opts.State, history) {
-		return p.continueExpFast(r, history, to, opts, opts.State)
+	if st := opts.State; p.UsableState(st) && st.N == history.Len() && st.LastTime <= from {
+		return p.continueExpFast(r, history, to, opts, st)
 	}
 	seq := history.Clone()
 	seq.Horizon = to

@@ -1,17 +1,17 @@
 // Package ingest is the streaming half of the CHASSIS serving stack: a
 // bounded store of live cascades, each holding the exponential-recursion
-// accumulator (hawkes.StateAccum), the running E-step responsibilities (MAP
+// state (hawkes.ContState), the running E-step responsibilities (MAP
 // parent per event, assigned at append time), and the event tail itself.
 //
 // The contract that makes streaming safe is replay identity, inherited from
-// the hawkes accumulator: appending events one request at a time produces
+// the hawkes state: appending events one request at a time produces
 // bit-identical continuation state — and therefore bit-identical forecasts —
 // to rebuilding from the full timeline in one pass. The store adds the
 // model-version discipline on top: every cascade records the snapshot
 // version its state was computed under, and a hot-reload (file or in-memory
 // refit install) triggers a transparent rebuild from the retained event
 // tail on the cascade's next touch. The tail is the source of truth; the
-// accumulator and parents are caches over it.
+// state and parents are caches over it.
 package ingest
 
 import (
@@ -70,7 +70,7 @@ func (c Config) withDefaults() Config {
 // Store holds the live cascades. All methods are safe for concurrent use;
 // the store lock only guards the cascade index (lookup, LRU order,
 // eviction), while per-cascade work — validation, parent attribution, the
-// accumulator update — runs under that cascade's own lock, so appends to
+// state update — runs under that cascade's own lock, so appends to
 // distinct cascades proceed in parallel.
 type Store struct {
 	cfg Config
@@ -86,14 +86,14 @@ type Store struct {
 }
 
 // cascade is one live cascade: the event tail (dense IDs, MAP parents
-// embedded) plus the version-bound accumulator cache over it.
+// embedded) plus the version-bound continuation state over it.
 type cascade struct {
 	id string
 
 	mu      sync.Mutex
-	version int64 // model version the accum and parents were computed under
+	version int64 // model version the state and parents were computed under
 	events  []timeline.Activity
-	accum   *hawkes.StateAccum // nil for non-exponential banks
+	state   *hawkes.ContState // nil for non-exponential banks
 }
 
 // NewStore builds a store; metrics may be nil.
@@ -139,7 +139,7 @@ type Result struct {
 // Append absorbs a chronological batch of validated events into cascade id,
 // creating it on first touch. Each event gets its MAP parent attributed
 // under the given model (the running E-step) and is folded into the
-// cascade's accumulator (O(M) per event — no history replay). The events
+// cascade's state (O(M) per event — no history replay). The events
 // must not precede the cascade's current tail; violations are
 // *timeline.ValidationError (the serve layer maps those to 400s).
 //
@@ -204,9 +204,9 @@ func (s *Store) Append(model *core.Model, proc *hawkes.Process, version int64, i
 			break
 		}
 		c.events[len(c.events)-1].Parent = p
-		if c.accum != nil {
-			if err := c.accum.Append(proc, int(a.User), a.Time); err != nil {
-				// Keep tail and accum consistent: drop the event again.
+		if c.state != nil {
+			if err := c.state.Append(proc, int(a.User), a.Time); err != nil {
+				// Keep tail and state consistent: drop the event again.
 				c.events = c.events[:len(c.events)-1]
 				appErr = err
 				break
@@ -223,9 +223,9 @@ func (s *Store) Append(model *core.Model, proc *hawkes.Process, version int64, i
 		if lerr != nil {
 			// Nothing may be acknowledged that the log did not accept: drop
 			// the batch and force a tail replay on next touch so the
-			// accumulator never diverges from the truncated tail.
+			// state never diverges from the truncated tail.
 			c.events = c.events[:start]
-			c.accum = nil
+			c.state = nil
 			c.version = -1
 			res.Appended = 0
 			res.Parents = nil
@@ -239,13 +239,14 @@ func (s *Store) Append(model *core.Model, proc *hawkes.Process, version int64, i
 	return res, appErr
 }
 
-// State pins cascade id against the given snapshot and returns its
-// continuation state finalized at horizon together with a copy of the event
-// tail (horizon 0 defaults to the last event's time). The returned sequence
-// is detached — callers may hand it to predict while appends continue — and
-// the state is bit-identical to a full HistoryState rebuild over the same
-// tail. A nil state with a nil error means the model has no fast-path state
-// (non-exponential bank); predict falls back to its own path.
+// State pins cascade id against the given snapshot and returns a copy of
+// its continuation state together with a copy of the event tail, whose
+// horizon is the given one (0 defaults to the last event's time). Both are
+// detached — callers may hand them to predict while appends continue on
+// the cascade — and the state is bit-identical to a full HistoryState
+// rebuild over the same tail. A nil state with a nil error means the model
+// has no fast-path state (non-exponential bank); predict falls back to its
+// own path.
 func (s *Store) State(model *core.Model, proc *hawkes.Process, version int64, id string, horizon float64) (*hawkes.ContState, *timeline.Sequence, error) {
 	c, err := s.touch(id, false)
 	if err != nil {
@@ -269,7 +270,7 @@ func (s *Store) State(model *core.Model, proc *hawkes.Process, version int64, id
 	}
 	seq := &timeline.Sequence{M: model.M, Horizon: horizon,
 		Activities: append([]timeline.Activity(nil), c.events...)}
-	return c.accum.Finalize(horizon), seq, nil
+	return c.state.Clone(), seq, nil
 }
 
 // CascadeDump is one cascade's detached event tail — the portable form the
@@ -332,7 +333,7 @@ func (s *Store) DumpSynced(model *core.Model, proc *hawkes.Process, version int6
 }
 
 // Restore replaces the store's contents with the dumped cascades (as
-// produced by Dump: most recently touched first). Accumulators and parents
+// produced by Dump: most recently touched first). States and parents
 // are left version-unbound and rebuilt from the tails on each cascade's
 // next touch — the same lazy path a hot-reload takes — so restored state is
 // bit-identical to having appended the same events live.
@@ -396,14 +397,8 @@ func (s *Store) Len() int {
 
 // EventCount reports the total events across all live cascades.
 func (s *Store) EventCount() int {
-	s.mu.Lock()
-	els := make([]*cascade, 0, s.order.Len())
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		els = append(els, el.Value.(*cascade))
-	}
-	s.mu.Unlock()
 	total := 0
-	for _, c := range els {
+	for _, c := range s.snapshot() {
 		c.mu.Lock()
 		total += len(c.events)
 		c.mu.Unlock()
@@ -449,7 +444,7 @@ func (s *Store) touch(id string, create bool) (*cascade, error) {
 }
 
 // syncLocked rebinds the cascade to the given snapshot version: on a
-// version change the accumulator is rebuilt by replaying the tail and every
+// version change the state is rebuilt by replaying the tail and every
 // parent is re-attributed under the new parameters. Rebuild failures leave
 // the cascade stale and report the error (the tail is untouched, so a later
 // snapshot can still rebuild).
@@ -458,9 +453,9 @@ func (c *cascade) syncLocked(model *core.Model, proc *hawkes.Process, version in
 		return false, nil
 	}
 	first := c.version < 0
-	accum := proc.NewStateAccum()
-	if accum != nil {
-		if err := accum.AppendAll(proc, c.events); err != nil {
+	state := proc.NewContState()
+	if state != nil {
+		if err := state.AppendAll(proc, c.events); err != nil {
 			return false, fmt.Errorf("ingest: rebuilding cascade %q under model version %d: %w", c.id, version, err)
 		}
 	}
@@ -476,7 +471,7 @@ func (c *cascade) syncLocked(model *core.Model, proc *hawkes.Process, version in
 			c.events[k].Parent = p
 		}
 	}
-	c.accum = accum
+	c.state = state
 	c.version = version
 	if !first {
 		rebuilds.Inc()

@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"chassis/internal/core"
 	"chassis/internal/hawkes"
 	"chassis/internal/obs"
+	"chassis/internal/rng"
 	"chassis/internal/timeline"
 )
 
@@ -513,5 +515,77 @@ func TestAppendLoggerContract(t *testing.T) {
 		if got.R[i] != want.R[i] {
 			t.Fatalf("post-rollback R[%d] = %v, want %v", i, got.R[i], want.R[i])
 		}
+	}
+}
+
+// TestStateDetachedFromLiveAppends: State hands out a copy of the cascade's
+// continuation state. Goroutines continuing from it — what predict's draws
+// do — race nothing while appends go on extending the same cascade, and the
+// copy keeps priming exactly the continuation of the tail it came with.
+func TestStateDetachedFromLiveAppends(t *testing.T) {
+	m, proc, tail := fixture(t)
+	s := NewStore(Config{}, obs.NewMetrics())
+	half := len(tail) / 2
+	if _, err := s.Append(m, proc, 1, "c", tail[:half]); err != nil {
+		t.Fatal(err)
+	}
+	st, seq, err := s.State(m, proc, 1, "c", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st == nil {
+		t.Fatal("nil state for an exponential-kernel model")
+	}
+	continuation := func(st *hawkes.ContState, seed int64) ([]timeline.Activity, error) {
+		ext, err := proc.Continue(rng.New(seed), seq, seq.Horizon+20, hawkes.SimOptions{State: st})
+		if err != nil {
+			return nil, err
+		}
+		return ext.Activities[seq.Len():], nil
+	}
+	const readers = 3
+	want := make([][]timeline.Activity, readers)
+	for g := range want {
+		if want[g], err = continuation(proc.HistoryState(seq), int64(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, readers*10+1)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 10; k++ {
+				got, err := continuation(st, int64(g))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !reflect.DeepEqual(got, want[g]) {
+					errs <- fmt.Errorf("reader %d pass %d: continuation changed while the cascade grew", g, k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := half; k < len(tail); k++ {
+			if _, err := s.Append(m, proc, 1, "c", tail[k:k+1]); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st.N != half {
+		t.Errorf("handed-out state absorbed later appends: N = %d, want %d", st.N, half)
 	}
 }

@@ -265,4 +265,12 @@ func TestInfluenceEdgeCases(t *testing.T) {
 	if _, err := Influence(p, wrongM, Options{}); err == nil {
 		t.Error("M mismatch must fail validation")
 	}
+	for name, bad := range badHistories() {
+		bad.M = 3
+		_, err := Influence(p, bad, Options{})
+		if err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		asValidation(t, err, "history")
+	}
 }

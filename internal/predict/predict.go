@@ -57,13 +57,15 @@ type Options struct {
 	// outputs as Seed-based callers bit for bit.
 	RNG *rng.RNG
 	// HistState, when non-nil, supplies the history's precomputed
-	// exponential continuation state (hawkes.Process.HistoryState) so the
-	// Monte-Carlo draws skip rebuilding it. When nil, Next and Counts
-	// compute the state themselves once per call — so a supplied state
-	// changes no bytes of any forecast, only the per-request setup cost
-	// (the property the serve layer's history cache is pinned against). The
-	// state must come from the same process over the same history; a
-	// mismatched state is ignored at the simulation layer.
+	// exponential continuation state (hawkes.Process.HistoryState, or a
+	// hawkes.ContState appended event by event) so the Monte-Carlo draws
+	// skip rebuilding it. When nil, Next and Counts compute the state
+	// themselves once per call — so a supplied state changes no bytes of
+	// any forecast, only the per-request setup cost (the property the serve
+	// layer's history cache is pinned against). The draws only read the
+	// state, at the history's horizon. It must have absorbed exactly the
+	// history's events under the same process; a mismatched state is
+	// ignored at the simulation layer.
 	HistState *hawkes.ContState
 }
 

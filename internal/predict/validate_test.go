@@ -25,6 +25,26 @@ func history2(times ...float64) *timeline.Sequence {
 	return s
 }
 
+// badHistories are event runs no forecast can condition on: out of order,
+// a non-finite or negative event time, and an event after the horizon.
+func badHistories() map[string]*timeline.Sequence {
+	past := history2(1, 2)
+	past.Horizon = 1.5
+	nan, negative := history2(1, 2), history2(1, 2)
+	nan.Activities[1].Time = math.NaN()
+	negative.Activities[0].Time = -1
+	inf := history2(1, 2)
+	inf.Activities[1].Time = math.Inf(1)
+	inf.Horizon = 3
+	return map[string]*timeline.Sequence{
+		"out of order":        history2(1, 5, 2, 9),
+		"NaN time":            nan,
+		"infinite time":       inf,
+		"negative time":       negative,
+		"event after horizon": past,
+	}
+}
+
 func asValidation(t *testing.T, err error, field string) {
 	t.Helper()
 	if err == nil {
@@ -59,6 +79,14 @@ func TestNextValidation(t *testing.T) {
 	_, err = Next(proc, neg, Options{Lookahead: 1})
 	asValidation(t, err, "history")
 
+	for name, bad := range badHistories() {
+		_, err = Next(proc, bad, Options{Lookahead: 1})
+		if err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		asValidation(t, err, "history")
+	}
+
 	for _, la := range []float64{0, -3, math.NaN()} {
 		_, err = Next(proc, h, Options{Lookahead: la})
 		asValidation(t, err, "lookahead")
@@ -74,6 +102,14 @@ func TestCountsValidation(t *testing.T) {
 
 	_, err := Counts(proc, nil, Options{Window: 1})
 	asValidation(t, err, "history")
+
+	for name, bad := range badHistories() {
+		_, err = Counts(proc, bad, Options{Window: 1})
+		if err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		asValidation(t, err, "history")
+	}
 
 	for _, w := range []float64{0, -1, math.NaN()} {
 		_, err = Counts(proc, h, Options{Window: w})

@@ -15,22 +15,23 @@ import (
 
 // The history-state cache memoizes the exponential continuation state of
 // request histories — but incrementally: entries are frozen
-// hawkes.StateAccum values (the appendable mid-sweep recursion state), keyed
-// by a chained digest of the exact history prefix they cover. A repeat
-// request with the identical history is a *hit* (finalize the cached
-// accumulator at the request horizon, O(M)); a request whose history extends
-// a cached one — the dominant polling pattern, a dashboard re-asking as a
-// cascade grows — is an *extend* (clone the longest cached prefix and absorb
-// only the suffix, O(suffix · M)); only a genuinely new history is a *miss*
-// (full O(history · M) build). Because StateAccum.Append performs the same
-// float ops as a full replay, all three paths produce bit-identical states,
-// so cached and uncached responses are byte-equal (pinned by tests).
+// hawkes.ContState values (horizon-free: the horizon is applied inside each
+// continuation), keyed by a chained digest of the exact history prefix
+// they cover. A repeat request with the identical history is a *hit* (the
+// cached state goes to predict as is, O(1)); a request whose history
+// extends a cached one — the dominant polling pattern, a dashboard
+// re-asking as a cascade grows — is an *extend* (clone the longest cached
+// prefix and absorb only the suffix, O(suffix · M)); only a genuinely new
+// history is a *miss* (full O(history · M) build). Because ContState.Append
+// performs the same float ops as a full replay, all three paths produce
+// bit-identical states, so cached and uncached responses are byte-equal
+// (pinned by tests).
 //
 // Entries are model-version scoped: a hot-reload bumps the registry
 // version, and the first lookup under the new version purges everything —
 // state accumulated under old parameters must never prime the new model.
-// (Process.UsableAccum would reject a mismatched accumulator anyway; the
-// purge keeps the cache from serving dead weight.)
+// (Process.UsableState would reject a mismatched state anyway; the purge
+// keeps the cache from serving dead weight.)
 
 // defaultHistCacheSize is the entry cap when Config.HistoryCache is 0.
 const defaultHistCacheSize = 256
@@ -39,9 +40,9 @@ const defaultHistCacheSize = 256
 // events [0, k] (plus the dimension count). The digests chain — each key is
 // the running sha256 after absorbing one more event — so computing all n
 // keys costs one pass, and a sequence extending another shares its prefix
-// keys exactly. The horizon deliberately does not participate: the
-// accumulator is horizon-free (Finalize applies the horizon per request), so
-// the same cascade queried at different horizons shares one entry. Each
+// keys exactly. The horizon deliberately does not participate: the state
+// is horizon-free (each continuation applies its own horizon), so the same
+// cascade queried at different horizons shares one entry. Each
 // event contributes a fixed four words (user, time bits, kind, polarity
 // bits), so distinct histories cannot collide by framing.
 func prefixDigests(seq *timeline.Sequence) []string {
@@ -64,8 +65,8 @@ func prefixDigests(seq *timeline.Sequence) []string {
 	return keys
 }
 
-// histCache is a mutex-guarded LRU of prefix digests → frozen accumulators.
-// Stored accumulators are never mutated in place: extension always goes
+// histCache is a mutex-guarded LRU of prefix digests → frozen states.
+// Stored states are never mutated in place: extension always goes
 // through Clone, so a cached pointer is shared read-only by every request
 // that hits or extends it.
 type histCache struct {
@@ -81,10 +82,10 @@ type histCache struct {
 
 type histEntry struct {
 	key   string
-	accum *hawkes.StateAccum
+	state *hawkes.ContState
 }
 
-// newHistCache builds a cache holding up to capacity accumulators. capacity
+// newHistCache builds a cache holding up to capacity states. capacity
 // 0 selects the default; negative capacity disables caching (returns nil,
 // and all call sites treat a nil cache as a no-op).
 func newHistCache(capacity int, m *obs.Metrics) *histCache {
@@ -108,18 +109,18 @@ func newHistCache(capacity int, m *obs.Metrics) *histCache {
 }
 
 // lookup classifies a request's prefix keys against the cache under the
-// given model version and returns the best starting accumulator plus the
-// number of history events it already covers. Exactly one of three outcomes:
+// given model version and returns the best starting state plus the number
+// of history events it already covers. Exactly one of three outcomes:
 //
-//   - hit: keys[len-1] is cached — the shared frozen accumulator is returned
-//     with covered == len(keys); the caller only finalizes it (a pure read).
+//   - hit: keys[len-1] is cached — the shared frozen state is returned with
+//     covered == len(keys); the caller only reads it.
 //   - extend: some proper prefix is cached — a Clone is returned (covered <
 //     len(keys)); the caller appends the suffix and may re-insert under the
 //     full key.
 //   - miss: nothing usable — (nil, 0); the caller builds from scratch.
 //
 // A version change purges every entry first.
-func (c *histCache) lookup(version int64, keys []string) (accum *hawkes.StateAccum, covered int) {
+func (c *histCache) lookup(version int64, keys []string) (st *hawkes.ContState, covered int) {
 	if c == nil || len(keys) == 0 {
 		return nil, 0
 	}
@@ -129,27 +130,27 @@ func (c *histCache) lookup(version int64, keys []string) (accum *hawkes.StateAcc
 	if el, ok := c.byKey[keys[len(keys)-1]]; ok {
 		c.order.MoveToFront(el)
 		c.hits.Inc()
-		return el.Value.(*histEntry).accum, len(keys)
+		return el.Value.(*histEntry).state, len(keys)
 	}
 	// Longest proper prefix wins: scan from the deepest candidate down.
 	for k := len(keys) - 2; k >= 0; k-- {
 		if el, ok := c.byKey[keys[k]]; ok {
 			c.order.MoveToFront(el)
 			c.extends.Inc()
-			return el.Value.(*histEntry).accum.Clone(), k + 1
+			return el.Value.(*histEntry).state.Clone(), k + 1
 		}
 	}
 	c.misses.Inc()
 	return nil, 0
 }
 
-// put inserts (or refreshes) the accumulator for key under the given model
+// put inserts (or refreshes) the state for key under the given model
 // version, evicting the least recently used entry past the cap. The caller
-// freezes the accumulator by inserting it: any further extension must clone.
-// Storing a nil accumulator is a no-op (only exponential-bank models have
-// appendable state, and a nil would poison every future hit for that key).
-func (c *histCache) put(version int64, key string, accum *hawkes.StateAccum) {
-	if c == nil || accum == nil {
+// freezes the state by inserting it: any further extension must clone.
+// Storing a nil state is a no-op (only exponential-bank models have one,
+// and a nil would poison every future hit for that key).
+func (c *histCache) put(version int64, key string, st *hawkes.ContState) {
+	if c == nil || st == nil {
 		return
 	}
 	c.mu.Lock()
@@ -158,11 +159,11 @@ func (c *histCache) put(version int64, key string, accum *hawkes.StateAccum) {
 	if el, ok := c.byKey[key]; ok {
 		// Concurrent misses on the same key race to insert; both computed
 		// the same bit-identical value, so last-write-wins is benign.
-		el.Value.(*histEntry).accum = accum
+		el.Value.(*histEntry).state = st
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&histEntry{key: key, accum: accum})
+	c.byKey[key] = c.order.PushFront(&histEntry{key: key, state: st})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
@@ -173,7 +174,7 @@ func (c *histCache) put(version int64, key string, accum *hawkes.StateAccum) {
 }
 
 // purgeIfStaleLocked drops every entry when the model version moved:
-// accumulators encode the old parameters and must not survive a reload.
+// states encode the old parameters and must not survive a reload.
 func (c *histCache) purgeIfStaleLocked(version int64) {
 	if c.version == version {
 		return

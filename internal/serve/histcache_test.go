@@ -21,8 +21,8 @@ import (
 
 // --- unit tests over the cache itself ---
 
-func testAccum(n int) *hawkes.StateAccum {
-	return &hawkes.StateAccum{N: n, LastTime: float64(n),
+func testAccum(n int) *hawkes.ContState {
+	return &hawkes.ContState{N: n, LastTime: float64(n),
 		R: []float64{1}, Last: []float64{0}, Rate: []float64{1}, Scale: []float64{1}}
 }
 

@@ -358,9 +358,9 @@ func (s *Server) handlePredict(counts bool) http.HandlerFunc {
 		// Condition the forecast: on an inline history, or — with
 		// cascade_id — on the live state the server has been ingesting,
 		// which IS the cached continuation, extended in place by every
-		// append and merely finalized here (no per-request replay).
+		// append and copied out here (no per-request replay).
 		var hist *timeline.Sequence
-		var cascadeSt *hawkes.ContState
+		var st *hawkes.ContState
 		if req.CascadeID != "" {
 			// Live-cascade state is incomplete until replay finishes; an
 			// answer now could silently miss already-acknowledged events.
@@ -368,7 +368,7 @@ func (s *Server) handlePredict(counts bool) http.HandlerFunc {
 				fail(ErrReplaying)
 				return
 			}
-			cascadeSt, hist, err = s.store.State(snap.Model, snap.Proc, snap.Version, req.CascadeID, req.Horizon)
+			st, hist, err = s.store.State(snap.Model, snap.Proc, snap.Version, req.CascadeID, req.Horizon)
 		} else {
 			hist, err = req.historySequence(snap.M)
 		}
@@ -387,19 +387,18 @@ func (s *Server) handlePredict(counts bool) http.HandlerFunc {
 		defer cancel()
 
 		// Fastpath state caching, incrementally: the history's prefix keys
-		// classify against the cache as a hit (finalize the cached
-		// accumulator at the request horizon), an extend (clone the longest
-		// cached prefix and absorb only the suffix), or a miss (build from
-		// scratch). The build/extend work runs inside the dispatcher, on
-		// the worker budget. All three paths perform the same float ops as
-		// an uncached rebuild, so responses are bit-identical with the
-		// cache on, off, hit, extended, or missed.
+		// classify against the cache as a hit (hand the frozen cached state
+		// to predict as is), an extend (clone the longest cached prefix and
+		// absorb only the suffix), or a miss (build from scratch). The
+		// build/extend work runs inside the dispatcher, on the worker
+		// budget. All three paths perform the same float ops as an uncached
+		// rebuild, so responses are bit-identical with the cache on, off,
+		// hit, extended, or missed.
 		var keys []string
-		var accum *hawkes.StateAccum
 		covered := 0
 		if s.cache != nil && req.CascadeID == "" && hist.Len() > 0 {
 			keys = prefixDigests(hist)
-			accum, covered = s.cache.lookup(snap.Version, keys)
+			st, covered = s.cache.lookup(snap.Version, keys)
 		}
 
 		var body []byte
@@ -416,22 +415,20 @@ func (s *Server) handlePredict(counts bool) http.HandlerFunc {
 				perr = err
 				return
 			}
-			st := cascadeSt
 			if len(keys) > 0 {
-				if accum != nil && !snap.Proc.UsableAccum(accum) {
-					accum, covered = nil, 0 // defense in depth; version purge handles reloads
+				if st != nil && !snap.Proc.UsableState(st) {
+					st, covered = nil, 0 // defense in depth; version purge handles reloads
 				}
-				if accum == nil {
-					accum, covered = snap.Proc.NewStateAccum(), 0
+				if st == nil {
+					st, covered = snap.Proc.NewContState(), 0
 				}
-				if accum != nil && covered < hist.Len() {
-					if err := accum.AppendAll(snap.Proc, hist.Activities[covered:]); err != nil {
-						accum = nil // fall back to predict's own rebuild
+				if st != nil && covered < hist.Len() {
+					if err := st.AppendAll(snap.Proc, hist.Activities[covered:]); err != nil {
+						st = nil // fall back to predict's own rebuild
 					} else {
-						s.cache.put(snap.Version, keys[len(keys)-1], accum)
+						s.cache.put(snap.Version, keys[len(keys)-1], st)
 					}
 				}
-				st = accum.Finalize(hist.Horizon) // nil-safe; pure read
 			}
 			opts := predict.Options{
 				Draws: req.Draws, Seed: req.Seed,
