@@ -320,7 +320,7 @@ func (r *Reader) User(g int) int {
 }
 
 // SearchTime returns the first global event index with time >= t, or
-// NumEvents if none — the colstore analogue of core's windowStart.
+// NumEvents if none — the colstore analogue of core's windowStartIn.
 func (r *Reader) SearchTime(t float64) int {
 	return sort.Search(r.total, func(g int) bool { return r.Time(g) >= t })
 }

@@ -291,6 +291,11 @@ func (c *Config) fill() error {
 }
 
 // Model is a fitted CHASSIS (or HP-baseline) model.
+//
+// A fitted model is read-only under InferForest, HeldOutLogLikelihood,
+// MAPParent, AssignParents and Process, so any number of goroutines may
+// call them on one model at once. SetWorkers writes the config and must
+// not run concurrently with them.
 type Model struct {
 	M       int
 	Variant Variant
@@ -472,18 +477,18 @@ func (m *Model) TrainLogLikelihood() (float64, error) {
 // inferred branching structure. The sequence's own ground-truth parents
 // (if any) are ignored. Unlike the EM's internal E-steps — which sample
 // parents to explore the posterior — the final readout takes the MAP
-// assignment, which is what Table 1 scores.
+// assignment, which is what Table 1 scores. A sequence that fails
+// timeline.Sequence.Validate is rejected with the wrapped
+// *timeline.ValidationError.
 func (m *Model) InferForest(seq *timeline.Sequence) (*branching.Forest, error) {
-	if seq.M != m.M {
-		return nil, fmt.Errorf("core: sequence has %d dimensions, model has %d", seq.M, m.M)
+	if err := m.checkSeq(seq); err != nil {
+		return nil, err
 	}
-	savedMAP := m.cfg.MAPEStep
-	m.cfg.MAPEStep = true
-	defer func() { m.cfg.MAPEStep = savedMAP }()
-	// Bootstrap conformity from an initial heuristic forest, then one
-	// parameter-driven pass (two passes let conformity-based excitation
-	// inform the final trees).
-	f, err := m.bootstrapForest(nil, seq)
+	// Bootstrap conformity from an initial heuristic forest, then two MAP
+	// passes (the second lets conformity-based excitation inform the final
+	// trees).
+	c := inMemory(seq)
+	f, err := m.bootstrapPass(nil, c)
 	if err != nil {
 		return nil, err
 	}
@@ -492,10 +497,27 @@ func (m *Model) InferForest(seq *timeline.Sequence) (*branching.Forest, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, err = m.eStep(seq, conf)
+		f, err = m.eStepPass(nil, c, conf, true, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return f, nil
+}
+
+// checkSeq is the front door of the post-fit readouts: seq must have the
+// model's dimensions and pass timeline's structural validation (dense IDs,
+// users in range, finite chronological times inside the horizon). An empty
+// sequence passes; a violation wraps the *timeline.ValidationError.
+func (m *Model) checkSeq(seq *timeline.Sequence) error {
+	if seq == nil {
+		return errors.New("core: nil sequence")
+	}
+	if seq.M != m.M {
+		return fmt.Errorf("core: sequence has %d dimensions, model has %d", seq.M, m.M)
+	}
+	if err := seq.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
 }

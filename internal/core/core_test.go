@@ -101,7 +101,7 @@ func buildModelForGradCheck(t *testing.T, v Variant, seed int64) (*Model, *dimDa
 	m.initParams(d.Seq)
 
 	work := d.Seq.StripParents()
-	forest, err := m.bootstrapForest(nil, work)
+	forest, err := m.bootstrapPass(nil, inMemory(work))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestEStepBeatsRandomOnSimulatedTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot, err := m.bootstrapForest(nil, d.Seq.StripParents())
+	boot, err := m.bootstrapPass(nil, inMemory(d.Seq.StripParents()))
 	if err != nil {
 		t.Fatal(err)
 	}

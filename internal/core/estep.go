@@ -24,39 +24,28 @@ import (
 // chunks on small fixtures; production code never writes it.)
 var estepChunkSize = 512
 
-// windowStart returns the first activity index whose time is >= t — the
-// left edge of a kernel-support window. Each parallel chunk re-derives its
-// own sliding `lo` from this instead of inheriting one from a serial scan.
-func windowStart(seq *timeline.Sequence, t float64) int {
-	return sort.Search(len(seq.Activities), func(k int) bool {
-		return seq.Activities[k].Time >= t
-	})
-}
-
-// windowStartIn is windowStart over an activity window that holds global
-// events [off, off+len(win)); the returned index is global. As long as the
-// window's left edge extends at least one kernel support before the first
-// event it is asked about, the result equals the full-sequence windowStart —
-// the invariant the sharded fit's halo materialization maintains, and the
-// reason shard-local scans see exactly the events the in-memory scan sees.
+// windowStartIn returns the first global index whose time is >= t — the
+// left edge of a kernel-support window — over an activity window that holds
+// global events [off, off+len(win)). Each parallel chunk re-derives its own
+// sliding `lo` from this instead of inheriting one from a serial scan. As
+// long as the window's left edge extends at least one kernel support before
+// the first event it is asked about, the result equals the full-sequence
+// one — the invariant the sharded fit's halo materialization maintains, and
+// the reason shard-local scans see exactly the events the in-memory scan
+// sees.
 func windowStartIn(win []timeline.Activity, off int, t float64) int {
 	return off + sort.Search(len(win), func(k int) bool {
 		return win[k].Time >= t
 	})
 }
 
-// bootstrapForest samples an initial branching structure (the EM
-// initialization of Section 6) for an in-memory sequence; see bootstrapPass.
-func (m *Model) bootstrapForest(ctx context.Context, seq *timeline.Sequence) (*branching.Forest, error) {
-	return m.bootstrapPass(ctx, inMemory(seq))
-}
-
-// bootstrapPass samples the initial forest over a corpus: each activity
-// either stays an immigrant or attaches to a preceding activity with
-// probability proportional to the initial kernel's decay — no model
-// parameters involved yet. Events are sharded into fixed chunks, each
-// drawing from its own Split-derived RNG stream, so the sampled forest is
-// identical at any worker count and any window layout.
+// bootstrapPass samples the initial forest (the EM initialization of
+// Section 6) over a corpus: each activity either stays an immigrant or
+// attaches to a preceding activity with probability proportional to the
+// initial kernel's decay — no model parameters involved yet. Events are
+// sharded into fixed chunks, each drawing from its own Split-derived RNG
+// stream, so the sampled forest is identical at any worker count and any
+// window layout.
 func (m *Model) bootstrapPass(ctx context.Context, c corpus) (*branching.Forest, error) {
 	base := rng.New(m.cfg.Seed).Split(101)
 	parents := make([]int32, c.numEvents())
@@ -126,18 +115,6 @@ func (m *Model) bootstrapChunk(win []timeline.Activity, off int, c parallel.Rang
 	}
 }
 
-// eStep infers the branching structure under the current parameters: for
-// every activity a_{ik}, candidate parents are scored by the Papangelou
-// intensity drop F(g) − F(g − c_e), where g is the pre-link aggregate at
-// t_{ik} and c_e the candidate's additive contribution; the immigrant
-// option is scored F(μᵢ). For the linear link the drop reduces to c_e and
-// the rule coincides with the classical triggering-probability ratio of
-// linear-Hawkes EM; for nonlinear links it remains well-defined, which is
-// the relaxation the paper's Section 6 calls for.
-func (m *Model) eStep(seq *timeline.Sequence, conf *conformity.Computer) (*branching.Forest, error) {
-	return m.eStepMode(nil, seq, conf, m.cfg.MAPEStep, nil, nil)
-}
-
 // estepStats is the per-pass measurement eStepPass fills when the fit is
 // observed: the mean entropy (nats) of the scored triggering distributions
 // and how many events were scored. Collecting it reads the weights the
@@ -148,12 +125,16 @@ type estepStats struct {
 	events  int
 }
 
-// eStepMode is eStepPass over an in-memory sequence.
-func (m *Model) eStepMode(ctx context.Context, seq *timeline.Sequence, conf *conformity.Computer, mapMode bool, prev *branching.Forest, stats *estepStats) (*branching.Forest, error) {
-	return m.eStepPass(ctx, inMemory(seq), conf, mapMode, prev, stats)
-}
-
-// eStepPass lets the EM driver anneal: sampled assignments early (explore
+// eStepPass infers the branching structure under the current parameters:
+// for every activity a_{ik}, candidate parents are scored by the Papangelou
+// intensity drop F(g) − F(g − c_e), where g is the pre-link aggregate at
+// t_{ik} and c_e the candidate's additive contribution; the immigrant
+// option is scored F(μᵢ). For the linear link the drop reduces to c_e and
+// the rule coincides with the classical triggering-probability ratio of
+// linear-Hawkes EM; for nonlinear links it remains well-defined, which is
+// the relaxation the paper's Section 6 calls for.
+//
+// mapMode lets the EM driver anneal: sampled assignments early (explore
 // the posterior while parameters are uninformative), MAP later (converge
 // the trees so the conformity quantities — and with them the likelihood —
 // stop jittering between iterations). When prev is non-nil only a random
@@ -170,22 +151,26 @@ func (m *Model) eStepMode(ctx context.Context, seq *timeline.Sequence, conf *con
 // any window layout. conf is queried by (receiver, source, time) only,
 // which is why corpus windows never need polarity columns.
 //
+// Only a pass that draws — sampled mode, or any pass against prev — takes
+// the next call label (m.estepCalls). A MAP pass with no prev draws nothing,
+// neither reads nor advances the label and writes nothing on the model,
+// which is what makes the post-fit readouts (InferForest, AssignParents)
+// safe to run concurrently.
+//
 // ctx is polled at chunk boundaries; a cancelled pass returns ctx.Err().
 // When stats is non-nil the pass also measures the scored triggering
 // distributions (per-chunk entropy accumulators, reduced in chunk order so
 // the reported number is itself deterministic).
 func (m *Model) eStepPass(ctx context.Context, c corpus, conf *conformity.Computer, mapMode bool, prev *branching.Forest, stats *estepStats) (*branching.Forest, error) {
-	m.estepCalls++
-	base := rng.New(m.cfg.Seed).Split(211 + int64(m.estepCalls))
+	var base *rng.RNG // nil: the pass draws nothing
+	if !mapMode || prev != nil {
+		m.estepCalls++
+		base = rng.New(m.cfg.Seed).Split(211 + int64(m.estepCalls))
+	}
 	exc := excitation{m: m, conf: conf}
 	n := c.numEvents()
 	parents := make([]int32, n)
-	maxSupport := 0.0
-	for _, ker := range m.Kernels {
-		if s := ker.Support(); s > maxSupport {
-			maxSupport = s
-		}
-	}
+	maxSupport := m.maxSupport()
 	var entSum []float64
 	var entCnt []int
 	if stats != nil {
@@ -197,8 +182,11 @@ func (m *Model) eStepPass(ctx context.Context, c corpus, conf *conformity.Comput
 	err := c.forEach(maxSupport, func(win []timeline.Activity, off int, chunks []parallel.Range) error {
 		return parallel.DoContext(ctx, workers, len(chunks), func(ci int) error {
 			ch := chunks[ci]
-			r := base.Split(int64(ch.Index) + 1)
-			m.eStepChunk(win, off, ch, r, exc, maxSupport, mapMode, prev, parents, entSum, entCnt)
+			var r *rng.RNG
+			if base != nil {
+				r = base.Split(int64(ch.Index) + 1)
+			}
+			m.eStepChunk(win, off, ch, r, exc, maxSupport, mapMode, prev, parents[ch.Lo:ch.Hi], entSum, entCnt)
 			return nil
 		})
 	})
@@ -221,13 +209,28 @@ func (m *Model) eStepPass(ctx context.Context, c corpus, conf *conformity.Comput
 	return branching.FromParents32(parents)
 }
 
+// maxSupport is the widest kernel support: the E-step's candidate window.
+func (m *Model) maxSupport() float64 {
+	maxSupport := 0.0
+	for _, ker := range m.Kernels {
+		if s := ker.Support(); s > maxSupport {
+			maxSupport = s
+		}
+	}
+	return maxSupport
+}
+
 // eStepChunk is the E-step's chunk body over one corpus window (see
-// bootstrapChunk for the window contract). All indices are global —
-// c.Lo/c.Hi, the sliding support window, prev-forest lookups, parents
-// slots, and the entSum/entCnt accumulators (indexed by global chunk
-// index) — so a shard boundary changes which storage the floats are read
-// from, never which floats are read or in what order: the bit-identity
-// argument for the out-of-core fit (DESIGN.md §15).
+// bootstrapChunk for the window contract), and the only code that scores
+// candidate parents: the batch passes run it over the chunk grid, MAPParent
+// over a one-event range. All indices are global — c.Lo/c.Hi, the sliding
+// support window, prev-forest lookups and the entSum/entCnt accumulators
+// (indexed by global chunk index) — except parents, which holds the
+// chunk's own slots (event k writes parents[k-c.Lo]). A shard boundary
+// therefore changes which storage the floats are read from, never which
+// floats are read or in what order: the bit-identity argument for the
+// out-of-core fit (DESIGN.md §15). r may be nil when mapMode is set and
+// prev is nil, the one case that draws nothing.
 func (m *Model) eStepChunk(win []timeline.Activity, off int, c parallel.Range, r *rng.RNG, exc excitation, maxSupport float64, mapMode bool, prev *branching.Forest, parents []int32, entSum []float64, entCnt []int) {
 	hi := off + len(win)
 	// Pooled per-chunk scratch; see bootstrapChunk.
@@ -241,10 +244,10 @@ func (m *Model) eStepChunk(win []timeline.Activity, off int, c parallel.Range, r
 	}()
 	lo := windowStartIn(win, off, win[c.Lo-off].Time-maxSupport)
 	for k := c.Lo; k < c.Hi; k++ {
-		parents[k] = -1
+		parents[k-c.Lo] = -1
 		ak := &win[k-off]
 		if prev != nil && r.Bernoulli(0.5) {
-			parents[k] = int32(prev.Parent(k)) // NoParent == -1 passes through
+			parents[k-c.Lo] = int32(prev.Parent(k)) // NoParent == -1 passes through
 			continue
 		}
 		i := int(ak.User)
@@ -325,7 +328,7 @@ func (m *Model) eStepChunk(win []timeline.Activity, off int, c parallel.Range, r
 			pick = r.Categorical(weights)
 		}
 		if pick > 0 {
-			parents[k] = int32(cands[pick-1])
+			parents[k-c.Lo] = int32(cands[pick-1])
 		}
 	}
 }

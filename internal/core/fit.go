@@ -737,13 +737,14 @@ func cooccurrenceSources(src corpus, support float64) [][]int {
 // train+test stream is re-assembled, its diffusion trees are inferred with
 // the trained parameters, conformity is recomputed on those trees, and
 // Eq. 7.1 is evaluated over the test window only, conditioned on everything
-// before it.
+// before it. A test sequence that fails timeline.Sequence.Validate is
+// rejected with the wrapped *timeline.ValidationError.
 func (m *Model) HeldOutLogLikelihood(test *timeline.Sequence) (float64, error) {
 	if test == nil || test.Len() == 0 {
 		return 0, errors.New("core: empty test sequence")
 	}
-	if test.M != m.M {
-		return 0, fmt.Errorf("core: test sequence has %d dimensions, model has %d", test.M, m.M)
+	if err := m.checkSeq(test); err != nil {
+		return 0, err
 	}
 	if m.seq == nil {
 		return 0, errors.New("core: model carries no training sequence (sharded fits keep the corpus on disk)")

@@ -8,6 +8,7 @@ import (
 	"chassis/internal/branching"
 	"chassis/internal/conformity"
 	"chassis/internal/kernel"
+	"chassis/internal/parallel"
 	"chassis/internal/timeline"
 )
 
@@ -15,25 +16,29 @@ import (
 // drives: per-event MAP parent attribution (the running E-step
 // responsibility of a freshly ingested event) and a warm-started mini-batch
 // M-step that refreshes the fitted parameters from accumulated events. Both
-// are deterministic — no RNG draws, chunk-free per-event scoring, and the
-// M-step's per-dimension fan-out writes disjoint slots — so the incremental
-// path is bit-identical at any worker count, and the full batch fit remains
-// the oracle it is compared against.
+// are deterministic — no RNG draws, per-event scoring through the E-step's
+// chunk body, and the M-step's per-dimension fan-out writes disjoint slots —
+// so the incremental path is bit-identical at any worker count, and the full
+// batch fit remains the oracle it is compared against.
 
-// MAPParent scores the triggering distribution of event k of seq under the
-// fitted parameters and returns its MAP parent (timeline.NoParent for an
-// immigrant pick). The scoring is eStepMode's, for a single event in MAP
-// mode: candidates inside the kernel support are weighted by the Papangelou
-// intensity drop F(g) − F(g − c_e) (with the same Laplace smoothing), the
-// immigrant option by F(μᵢ). Conformity features are read from the model's
-// training-time state (m.Conf) — the same convention every serving-time
-// evaluation (Process, HistoryState, prediction) uses — so attribution of a
-// live cascade needs no conformity rebuild per event.
+// MAPParent returns the MAP parent of event k of seq under the fitted
+// parameters (timeline.NoParent for an immigrant pick). It is the E-step
+// chunk body run in MAP mode over the one-event range [k, k+1), so the
+// scoring is the batch E-step's to the last float: candidates inside the
+// kernel support weighted by the Papangelou drop F(g) − F(g − c_e) with the
+// α clamp and Laplace smoothing, the immigrant option by F(μᵢ). Conformity
+// features are read from the model's training-time state (m.Conf) — the
+// same convention every serving-time evaluation (Process, HistoryState,
+// prediction) uses — so attribution of a live cascade needs no conformity
+// rebuild per event.
 //
-// Deterministic and side-effect-free: unlike the EM's internal E-steps it
-// advances no RNG stream and mutates nothing, so scoring the same (seq, k)
-// twice — or scoring events one at a time as they stream in versus in one
-// pass over the suffix — yields identical assignments.
+// Event k reads only its own past, and seq must already be chronological
+// (the ingest store checks each event as it appends; validating here would
+// cost O(k) per call). Read-only: it draws no random numbers and writes
+// nothing, so scoring the same (seq, k) twice — or scoring events one at a
+// time as they stream in versus AssignParents' one pass — yields identical
+// assignments. Cost: O(M) to find the widest kernel support (the batch
+// E-step's window, which exact identity needs), then O(window).
 func (m *Model) MAPParent(seq *timeline.Sequence, k int) (timeline.ActivityID, error) {
 	if seq.M != m.M {
 		return timeline.NoParent, fmt.Errorf("core: sequence has %d dimensions, model has %d", seq.M, m.M)
@@ -41,87 +46,33 @@ func (m *Model) MAPParent(seq *timeline.Sequence, k int) (timeline.ActivityID, e
 	if k < 0 || k >= seq.Len() {
 		return timeline.NoParent, fmt.Errorf("core: event index %d outside [0,%d)", k, seq.Len())
 	}
-	exc := excitation{m: m, conf: m.Conf}
-	ak := &seq.Activities[k]
-	i := int(ak.User)
-	if i < 0 || i >= m.M {
-		return timeline.NoParent, fmt.Errorf("core: event %d has user %d outside [0,%d)", k, i, m.M)
+	if u := seq.Activities[k].User; u < 0 || int(u) >= m.M {
+		return timeline.NoParent, fmt.Errorf("core: event %d has user %d outside [0,%d)", k, u, m.M)
 	}
-	ker := m.Kernels[i]
-	support := ker.Support()
-	smoothing := m.cfg.EStepSmoothing
-	if smoothing <= 0 {
-		smoothing = 0.02 // Config.fill's default, for zero-value models
-	}
-	lo := windowStart(seq, ak.Time-support)
-
-	g := m.Mu[i]
-	bestW := m.link.Apply(m.Mu[i]) // immigrant option
-	if m.cfg.LinearRatioEStep {
-		bestW = m.Mu[i]
-	}
-	best := timeline.NoParent
-	// Two passes mirror eStepMode: accumulate the pre-link aggregate g over
-	// every candidate first, then score each drop against the full g.
-	type cand struct {
-		w  int
-		cw float64
-	}
-	var cands []cand
-	for w := lo; w < k; w++ {
-		aw := &seq.Activities[w]
-		dt := ak.Time - aw.Time
-		if dt <= 0 || dt > support {
-			continue
-		}
-		phi := ker.Eval(dt)
-		if phi <= 0 {
-			continue
-		}
-		alpha := exc.Alpha(i, int(aw.User), aw.Time)
-		if alpha < 0 {
-			alpha = 0
-		}
-		cw := (alpha + smoothing) * phi
-		if cw <= 0 {
-			continue
-		}
-		g += cw
-		cands = append(cands, cand{w, cw})
-	}
-	fg := m.link.Apply(g)
-	for _, c := range cands {
-		var weight float64
-		if m.cfg.LinearRatioEStep {
-			weight = c.cw
-		} else {
-			weight = fg - m.link.Apply(g-c.cw)
-		}
-		if weight > bestW {
-			bestW = weight
-			best = timeline.ActivityID(c.w)
-		}
-	}
-	return best, nil
+	var parent [1]int32
+	m.eStepChunk(seq.Activities, 0, parallel.Range{Lo: k, Hi: k + 1}, nil, excitation{m: m, conf: m.Conf},
+		m.maxSupport(), true, nil, parent[:], nil, nil)
+	return timeline.ActivityID(parent[0]), nil
 }
 
-// AssignParents runs MAPParent over events [from, seq.Len()), returning one
-// assignment per scored event. The per-event scorings are independent reads,
-// so batch assignment equals event-by-event assignment exactly — the replay
-// identity the ingest store's running responsibilities are tested against.
+// AssignParents is the batch MAP pass: the E-step over seq in MAP mode under
+// the training-time conformity state (m.Conf), returning the assignments of
+// events [from, seq.Len()). Each event's scoring reads only its own past, so
+// the pass equals MAPParent applied event by event as a cascade grows — the
+// replay identity the ingest store's running responsibilities are tested
+// against. Read-only, like MAPParent.
 func (m *Model) AssignParents(seq *timeline.Sequence, from int) ([]timeline.ActivityID, error) {
-	if from < 0 {
-		from = 0
+	if err := m.checkSeq(seq); err != nil {
+		return nil, err
 	}
-	out := make([]timeline.ActivityID, 0, seq.Len()-from)
-	for k := from; k < seq.Len(); k++ {
-		p, err := m.MAPParent(seq, k)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
+	if from > seq.Len() {
+		return nil, fmt.Errorf("core: first event %d beyond the sequence's %d", from, seq.Len())
 	}
-	return out, nil
+	f, err := m.eStepPass(nil, inMemory(seq), m.Conf, true, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return f.Parents()[max(from, 0):], nil
 }
 
 // RefitIncremental is the mini-batch M-step of the incremental EM mode: it

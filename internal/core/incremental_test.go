@@ -23,31 +23,51 @@ func fitIncrementalFixture(t *testing.T) (*Model, *timeline.Sequence) {
 // TestMAPParentStreamingEqualsBatch is the E-step replay identity: scoring
 // events one at a time as a cascade grows assigns exactly the parents a
 // one-pass batch assignment over the full sequence does, because each
-// event's triggering distribution reads only its own past.
+// event's triggering distribution reads only its own past. The fits cover
+// both weight branches of the E-step: the Papangelou drop under the linear
+// and the exp link, and the linear-ratio weights.
 func TestMAPParentStreamingEqualsBatch(t *testing.T) {
-	m, seq := fitIncrementalFixture(t)
-	from := seq.Len() - 25
-	batch, err := m.AssignParents(seq, from)
-	if err != nil {
-		t.Fatal(err)
+	linearRatio := quickCfg(VariantL)
+	linearRatio.LinearRatioEStep = true
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"L", quickCfg(VariantL)},
+		{"E", quickCfg(VariantE)},
+		{"L-linear-ratio", linearRatio},
 	}
-	for k := from; k < seq.Len(); k++ {
-		// The streaming view: only events up to k exist yet.
-		prefix := &timeline.Sequence{M: seq.M, Horizon: seq.Activities[k].Time,
-			Activities: seq.Activities[:k+1]}
-		got, err := m.MAPParent(prefix, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != batch[k-from] {
-			t.Fatalf("event %d: streaming parent %d != batch parent %d", k, got, batch[k-from])
-		}
-	}
-	// Assignments must point strictly backwards.
-	for idx, p := range batch {
-		if p != timeline.NoParent && int(p) >= from+idx {
-			t.Fatalf("assignment %d points forward (parent %d)", idx, p)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			seq := smallDataset(t, 17).Seq
+			m, err := Fit(seq, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from := seq.Len() - 25
+			batch, err := m.AssignParents(seq, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := from; k < seq.Len(); k++ {
+				// The streaming view: only events up to k exist yet.
+				prefix := &timeline.Sequence{M: seq.M, Horizon: seq.Activities[k].Time,
+					Activities: seq.Activities[:k+1]}
+				got, err := m.MAPParent(prefix, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != batch[k-from] {
+					t.Fatalf("event %d: streaming parent %d != batch parent %d", k, got, batch[k-from])
+				}
+			}
+			// Assignments must point strictly backwards.
+			for idx, p := range batch {
+				if p != timeline.NoParent && int(p) >= from+idx {
+					t.Fatalf("assignment %d points forward (parent %d)", idx, p)
+				}
+			}
+		})
 	}
 }
 
@@ -172,5 +192,16 @@ func TestRefitIncrementalValidation(t *testing.T) {
 	}
 	if _, err := m.MAPParent(seq, seq.Len()); err == nil {
 		t.Error("out-of-range event index accepted")
+	}
+	if _, err := m.AssignParents(seq, seq.Len()+1); err == nil {
+		t.Error("AssignParents: first event beyond the sequence accepted")
+	}
+	if _, err := m.AssignParents(wrongM, 0); err == nil {
+		t.Error("AssignParents: dimension mismatch accepted")
+	}
+	unordered := seq.Clone()
+	unordered.Activities[1].Time, unordered.Activities[2].Time = unordered.Activities[2].Time, unordered.Activities[1].Time
+	if _, err := m.AssignParents(unordered, 0); err == nil {
+		t.Error("AssignParents: out-of-order sequence accepted")
 	}
 }

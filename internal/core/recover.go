@@ -25,8 +25,8 @@ type emSnapshot struct {
 func (m *Model) snapshotState(forest *branching.Forest) *emSnapshot {
 	return &emSnapshot{
 		mu:     append([]float64(nil), m.Mu...),
-		gammaI: copyMat(m.GammaI), gammaN: copyMat(m.GammaN),
-		beta: copyMat(m.Beta), alpha: copyMat(m.Alpha),
+		gammaI: cloneDense(m.GammaI), gammaN: cloneDense(m.GammaN),
+		beta: cloneDense(m.Beta), alpha: cloneDense(m.Alpha),
 		// Kernel updates replace slice elements and never mutate a kernel
 		// in place, so copying the slice header row is enough.
 		kernels:    append([]kernel.Kernel(nil), m.Kernels...),
@@ -42,23 +42,14 @@ func (m *Model) snapshotState(forest *branching.Forest) *emSnapshot {
 // stepScale is deliberately NOT restored: the backoff is the recovery.
 func (m *Model) restoreState(s *emSnapshot) {
 	m.Mu = append([]float64(nil), s.mu...)
-	m.GammaI, m.GammaN = copyMat(s.gammaI), copyMat(s.gammaN)
-	m.Beta, m.Alpha = copyMat(s.beta), copyMat(s.alpha)
+	m.GammaI, m.GammaN = cloneDense(s.gammaI), cloneDense(s.gammaN)
+	m.Beta, m.Alpha = cloneDense(s.beta), cloneDense(s.alpha)
 	m.Kernels = append([]kernel.Kernel(nil), s.kernels...)
 	m.estepCalls = s.estepCalls
 	if len(m.History) > s.historyLen {
 		m.History = m.History[:s.historyLen]
 	}
 	m.Iterations = s.iterations
-}
-
-// copyMat deep-copies a dense matrix.
-func copyMat(src [][]float64) [][]float64 {
-	out := make([][]float64, len(src))
-	for i := range src {
-		out[i] = append([]float64(nil), src[i]...)
-	}
-	return out
 }
 
 // checkParamsFinite verifies every fitted parameter and tabulated kernel is
