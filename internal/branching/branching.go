@@ -156,15 +156,24 @@ func (f *Forest) TreeID(i int) int { return int(f.treeID[i]) }
 // SameTree reports whether a and b belong to the same cascade.
 func (f *Forest) SameTree(a, b int) bool { return f.treeID[a] == f.treeID[b] }
 
-// Tree returns the nodes of tree id in index order.
-func (f *Forest) Tree(id int) []int {
-	var out []int
-	for i := range f.parents {
-		if int(f.treeID[i]) == id {
-			out = append(out, i)
-		}
+// Trees groups the nodes by tree in one counting pass: the nodes of tree
+// id are nodes[start[id]:start[id+1]], in index order.
+func (f *Forest) Trees() (start, nodes []int32) {
+	start = make([]int32, len(f.roots)+1)
+	for _, id := range f.treeID {
+		start[id]++
 	}
-	return out
+	for id := 1; id < len(start); id++ {
+		start[id] += start[id-1]
+	}
+	// start[id] now ends tree id; filling backwards moves it to the start.
+	nodes = make([]int32, len(f.treeID))
+	for i := len(f.treeID) - 1; i >= 0; i-- {
+		id := f.treeID[i]
+		start[id]--
+		nodes[start[id]] = int32(i)
+	}
+	return start, nodes
 }
 
 // ancestorAt lifts node i up by k generations (-1 if lifted past a root).

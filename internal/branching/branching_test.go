@@ -70,8 +70,12 @@ func TestBasicAccessors(t *testing.T) {
 	if !f.SameTree(3, 6) || f.SameTree(3, 7) {
 		t.Error("SameTree wrong")
 	}
-	if got := f.Tree(f.TreeID(5)); len(got) != 2 || got[0] != 5 || got[1] != 7 {
-		t.Errorf("Tree = %v", got)
+	start, nodes := f.Trees()
+	if id := f.TreeID(5); start[id+1]-start[id] != 2 || nodes[start[id]] != 5 || nodes[start[id]+1] != 7 {
+		t.Errorf("Trees = %v, %v", start, nodes)
+	}
+	if len(start) != f.NumTrees()+1 || start[0] != 0 || int(start[f.NumTrees()]) != f.Len() {
+		t.Errorf("Trees offsets = %v", start)
 	}
 	ps := f.Parents()
 	ps[0] = 7

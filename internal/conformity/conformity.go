@@ -25,8 +25,11 @@
 package conformity
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"chassis/internal/branching"
@@ -83,31 +86,25 @@ func (e *OutOfOrderError) Error() string {
 	return fmt.Sprintf("conformity: event %d at t=%g precedes the previous event at t=%g", e.Index, e.Time, e.Prev)
 }
 
-type pairKey struct{ i, j int32 }
-
 // PairKey identifies an ordered (receiver, source) user pair with recorded
 // interactions.
 type PairKey struct{ Receiver, Source int }
 
-type pairData struct {
-	info *series // parent-child interactions j→i: (p_parent, p_child)
-	norm *series // cascade-level contributions: (x_j, y_i)
-}
-
-// Computer answers conformity queries for one (sequence, forest) pair. It
-// holds only the event columns (times, users, polarities) — never Activity
-// structs — so both the in-memory and the streamed build share it.
+// Computer answers conformity queries for one (sequence, forest) pair. Its
+// pairs are stored flat in CSR order: receiver i's sources are
+// src[row[i]:row[i+1]], ascending, and pair p (an index into src) owns two
+// series in the shared sample columns — informational (parent-child
+// interactions j→i: (p_parent, p_child)) at [off[2p], off[2p+1]) and
+// normative (cascade-level contributions (x_j, y_i)) at
+// [off[2p+1], off[2p+2]).
 type Computer struct {
-	m      int
-	times  []float64
-	polar  []float64
-	users  []int32
-	forest *branching.Forest
-	opts   Options
-	pairs  map[pairKey]*pairData
-	// offspringTimes[i] holds the (sorted) times of user i's offspring
-	// activities: the denominator ℕᵢ(t) of Eq. 5.1.
-	offspringTimes [][]float64
+	row, src []int32
+	off      []int32
+	cols     series
+	// User i's offspring activity times, sorted, are
+	// kids[kidRow[i]:kidRow[i+1]]: the denominator ℕᵢ(t) of Eq. 5.1.
+	kidRow []int32
+	kids   []float64
 }
 
 // New extracts conformity structures. Activities must carry polarities
@@ -127,36 +124,6 @@ func New(seq *timeline.Sequence, forest *branching.Forest, opts Options) (*Compu
 		users[k] = int32(a.User)
 	}
 	return fromColumns(seq.M, times, users, polar, forest, opts)
-}
-
-// fromColumns is the shared build entry: both New and Accumulator.Finalize
-// land here, which is what makes the streamed computer bit-identical to the
-// in-memory one.
-func fromColumns(m int, times []float64, users []int32, polar []float64, forest *branching.Forest, opts Options) (*Computer, error) {
-	if forest == nil {
-		return nil, errors.New("conformity: nil forest")
-	}
-	if forest.Len() != len(times) {
-		return nil, fmt.Errorf("conformity: forest covers %d nodes, sequence has %d", forest.Len(), len(times))
-	}
-	opts.fill()
-	c := &Computer{
-		m:              m,
-		times:          times,
-		polar:          polar,
-		users:          users,
-		forest:         forest,
-		opts:           opts,
-		pairs:          make(map[pairKey]*pairData),
-		offspringTimes: make([][]float64, m),
-	}
-	if err := c.buildInformational(); err != nil {
-		return nil, err
-	}
-	if err := c.buildNormative(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // Accumulator buffers a chronological stream of (time, user, polarity)
@@ -196,70 +163,232 @@ func (a *Accumulator) Append(t float64, user int, polarity float64) error {
 func (a *Accumulator) Len() int { return len(a.times) }
 
 // Finalize builds the Computer against the given forest, which must cover
-// exactly the appended events (activity index k = append order k). The
-// accumulator's columns are handed over, not copied; the accumulator can be
-// reused only after fresh Appends.
+// exactly the appended events (activity index k = append order k).
 func (a *Accumulator) Finalize(forest *branching.Forest) (*Computer, error) {
 	return fromColumns(a.m, a.times, a.users, a.polar, forest, a.opts)
 }
 
-// pair returns the series pair for (i, j), creating it when create is set.
-// Creation enforces Options.MaxActivePairs: the budget trips exactly when a
-// NEW pair would exceed it, identically in both construction paths.
-func (c *Computer) pair(i, j int32, create bool) (*pairData, error) {
-	k := pairKey{i, j}
-	p, ok := c.pairs[k]
-	if !ok && create {
-		if c.opts.MaxActivePairs > 0 && len(c.pairs) >= c.opts.MaxActivePairs {
-			return nil, &PairBudgetError{Budget: c.opts.MaxActivePairs}
-		}
-		p = &pairData{info: newSeries(), norm: newSeries()}
-		c.pairs[k] = p
+// sample is one (x, y) observation for a pair series, timestamped by the
+// later activity e2 (by the receiver i); e1 is the earlier one (by the
+// source j). lca is the Scenario-2 lowest common ancestor, -1 otherwise.
+type sample struct {
+	t           float64
+	i, j        int32
+	e1, e2, lca int32
+	q           int32 // series index 2·pair + kind, set by indexPairs
+}
+
+// fromColumns is the shared build entry: both New and Accumulator.Finalize
+// land here, which is what makes the streamed computer bit-identical to the
+// in-memory one. It enumerates every sample, numbers the distinct pairs in
+// CSR order, groups the samples by series — informational in activity
+// order, then normative in time order — and streams each series into
+// columns sized exactly beforehand.
+func fromColumns(m int, times []float64, users []int32, polar []float64, forest *branching.Forest, opts Options) (*Computer, error) {
+	if forest == nil {
+		return nil, errors.New("conformity: nil forest")
 	}
-	return p, nil
+	if forest.Len() != len(times) {
+		return nil, fmt.Errorf("conformity: forest covers %d nodes, sequence has %d", forest.Len(), len(times))
+	}
+	opts.fill()
+	samples, nInfo, err := enumerate(times, users, forest, opts)
+	if err != nil {
+		return nil, err
+	}
+	c := &Computer{}
+	c.offspring(m, times, users, forest)
+	if err := c.indexPairs(m, samples, nInfo, opts.MaxActivePairs); err != nil {
+		return nil, err
+	}
+	off, perm := groupBy(2*len(c.src), len(samples), func(s int) int32 { return samples[s].q })
+	c.off = off
+	c.cols = series{times: make([]float64, len(samples)), sums: make([]moments, len(samples))}
+	for q := 0; q+1 < len(off); q++ {
+		// Scenario-2 running accumulators of this pair: source side and
+		// receiver side vs the LCA, from which the recalibrated
+		// correlations are drawn.
+		var aj, ai stats.PearsonAcc
+		ser := c.cols.slice(off[q], off[q+1])
+		for k, s := range perm[off[q]:off[q+1]] {
+			sm := &samples[s]
+			x, y := polar[sm.e1], polar[sm.e2]
+			if sm.lca >= 0 {
+				lcaPol := polar[sm.lca]
+				aj.Add(x, lcaPol)
+				ai.Add(y, lcaPol)
+				x, y = corrOrSeed(&aj, x, lcaPol), corrOrSeed(&ai, y, lcaPol)
+			}
+			ser.put(k, sm.t, x, y)
+		}
+	}
+	return c, nil
 }
 
-// query is the read-only pair lookup used by the point-in-time queries.
-func (c *Computer) query(i, j int) *pairData {
-	return c.pairs[pairKey{int32(i), int32(j)}]
+// groupBy stably orders the items 0..n-1 by key in [0, keys) with one
+// counting pass, leaving out items keyed -1: key u's items are
+// perm[start[u]:start[u+1]].
+func groupBy(keys, n int, key func(int) int32) (start, perm []int32) {
+	start = make([]int32, keys+1)
+	for k := 0; k < n; k++ {
+		if u := key(k); u >= 0 {
+			start[u]++
+		}
+	}
+	for u := 1; u <= keys; u++ {
+		start[u] += start[u-1]
+	}
+	// start[u] now ends key u; filling backwards moves it to the start.
+	perm = make([]int32, start[keys])
+	for k := n - 1; k >= 0; k-- {
+		if u := key(k); u >= 0 {
+			start[u]--
+			perm[start[u]] = int32(k)
+		}
+	}
+	return start, perm
 }
 
-// buildInformational walks parent-child pairs in chronological (index)
-// order, feeding both the per-pair interaction series and the per-user
-// offspring counters.
-func (c *Computer) buildInformational() error {
-	for k := range c.times {
-		parent := c.forest.Parent(k)
+// treePairs returns an n-activity cascade's ordered pair count and the
+// stride that thins its cross-path pairs to about maxPairs.
+func treePairs(n, maxPairs int) (total, stride int) {
+	total = n * (n - 1) / 2
+	return total, max(1, (total+maxPairs-1)/maxPairs)
+}
+
+// enumerate lists every sample: first the parent-child interactions in
+// activity (chronological) order, then, per cascade, the ordered activity
+// pairs of distinct users split into Scenario 1 (ancestor) and Scenario 2
+// (cross-path, recalibrated through the LCA), sorted stably by time —
+// exactly the "scanning all information cascades up to time t" procedure of
+// Section 5.2. The slice is sized up front from each tree's ancestor-pair
+// count and stride.
+func enumerate(times []float64, users []int32, forest *branching.Forest, opts Options) ([]sample, int, error) {
+	start, nodes := forest.Trees()
+	size := forest.Len() - forest.NumTrees()
+	for id := 0; id+1 < len(start); id++ {
+		tree := nodes[start[id]:start[id+1]]
+		total, stride := treePairs(len(tree), opts.MaxTreePairs)
+		anc := 0
+		for _, v := range tree {
+			anc += forest.Depth(int(v))
+		}
+		size += anc
+		if !opts.DisableLCA {
+			size += (total - anc) / stride
+		}
+	}
+	if size > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("conformity: up to %d samples exceed the int32 column range", size)
+	}
+	samples := make([]sample, 0, size)
+	for k := range times {
+		parent := forest.Parent(k)
 		if parent == timeline.NoParent {
 			continue
 		}
-		i := c.users[k]
-		c.offspringTimes[i] = append(c.offspringTimes[i], c.times[k])
-		j := c.users[parent]
-		if i == j && !c.opts.IncludeSelf {
+		i, j := users[k], users[parent]
+		if i == j && !opts.IncludeSelf {
 			continue
 		}
-		p, err := c.pair(i, j, true)
-		if err != nil {
-			return err
+		samples = append(samples, sample{t: times[k], i: i, j: j, e1: int32(parent), e2: int32(k), lca: -1})
+	}
+	nInfo := len(samples)
+	for id := 0; id+1 < len(start); id++ {
+		tree := nodes[start[id]:start[id+1]]
+		_, stride := treePairs(len(tree), opts.MaxTreePairs)
+		count := 0
+		for b := 1; b < len(tree); b++ {
+			e2 := int(tree[b])
+			for a := 0; a < b; a++ {
+				e1 := int(tree[a])
+				if users[e1] == users[e2] && !opts.IncludeSelf {
+					continue
+				}
+				if times[e1] >= times[e2] {
+					continue
+				}
+				isAncestor := forest.IsAncestor(e1, e2)
+				if !isAncestor && opts.DisableLCA {
+					continue
+				}
+				lca := -1
+				if !isAncestor {
+					// Scenario 2 pairs are the ones subsampled under the cap;
+					// ancestor pairs always survive (they carry the direct
+					// chain-of-influence signal).
+					count++
+					if stride > 1 && count%stride != 0 {
+						continue
+					}
+					lca = forest.LCA(e1, e2)
+				}
+				samples = append(samples, sample{
+					t: times[e2], i: users[e2], j: users[e1],
+					e1: int32(e1), e2: int32(e2), lca: int32(lca),
+				})
+			}
 		}
-		p.info.add(c.times[k], c.polar[parent], c.polar[k])
 	}
-	// Activity order is chronological, but guard against ties reordering.
-	for i := range c.offspringTimes {
-		sort.Float64s(c.offspringTimes[i])
-	}
-	return nil
+	// Times are finite (colstore and sequence validation reject NaN), so
+	// cmp.Compare orders them exactly as <.
+	slices.SortStableFunc(samples[nInfo:], func(a, b sample) int { return cmp.Compare(a.t, b.t) })
+	return samples, nInfo, nil
 }
 
-// normContribution is one (x, y) sample destined for a pair's normative
-// series, timestamped by the later activity.
-type normContribution struct {
-	t    float64
-	i, j int32
-	e1   int32 // earlier activity (by j)
-	e2   int32 // later activity (by i)
-	lca  int32 // -1 for Scenario 1 (same path)
+// offspring lays out every user's offspring activity times.
+func (c *Computer) offspring(m int, times []float64, users []int32, forest *branching.Forest) {
+	row, perm := groupBy(m, len(times), func(k int) int32 {
+		if forest.Parent(k) == timeline.NoParent {
+			return -1
+		}
+		return users[k]
+	})
+	c.kidRow, c.kids = row, make([]float64, len(perm))
+	for p, k := range perm {
+		c.kids[p] = times[k]
+	}
+	// Activity order is chronological, but guard against ties reordering.
+	for i := 0; i < m; i++ {
+		sort.Float64s(c.kids[row[i]:row[i+1]])
+	}
+}
+
+// indexPairs numbers the distinct (receiver, source) pairs of the samples
+// in CSR order — two stable groupings, by source and then by receiver,
+// line the samples up pair by pair — sets each sample's series index and
+// fills row and src. Options.MaxActivePairs trips exactly when the distinct
+// pairs exceed it, before any series column is allocated.
+func (c *Computer) indexPairs(m int, samples []sample, nInfo, budget int) error {
+	_, bySrc := groupBy(m, len(samples), func(s int) int32 { return samples[s].j })
+	_, byPair := groupBy(m, len(bySrc), func(k int) int32 { return samples[bySrc[k]].i })
+	c.row = make([]int32, m+1)
+	pairs := int32(0)
+	var prev *sample
+	for _, b := range byPair {
+		s := bySrc[b]
+		sm := &samples[s]
+		if prev == nil || sm.i != prev.i || sm.j != prev.j {
+			// The entries of byPair read so far are free to collect the
+			// pairs' sources.
+			byPair[pairs] = sm.j
+			pairs++
+			c.row[sm.i+1]++
+		}
+		prev = sm
+		sm.q = 2 * (pairs - 1)
+		if int(s) >= nInfo {
+			sm.q++
+		}
+	}
+	if budget > 0 && int(pairs) > budget {
+		return &PairBudgetError{Budget: budget}
+	}
+	for u := 1; u <= m; u++ {
+		c.row[u] += c.row[u-1]
+	}
+	c.src = slices.Clone(byPair[:pairs])
+	return nil
 }
 
 // corrOrSeed reads a Scenario-2 side accumulator: the Pearson correlation
@@ -284,110 +413,24 @@ func corrOrSeed(a *stats.PearsonAcc, x, y float64) float64 {
 	return 0
 }
 
-// buildNormative enumerates, per cascade, ordered activity pairs of
-// distinct users, splits them into Scenario 1 (ancestor) and Scenario 2
-// (cross-path, recalibrated through the LCA), sorts all contributions
-// globally by time, and streams them through running accumulators so each
-// pair's normative series grows chronologically — exactly the "scanning all
-// information cascades up to time t" procedure of Section 5.2.
-func (c *Computer) buildNormative() error {
-	var contribs []normContribution
-	for treeID := 0; treeID < c.forest.NumTrees(); treeID++ {
-		nodes := c.forest.Tree(treeID)
-		n := len(nodes)
-		if n < 2 {
-			continue
-		}
-		total := n * (n - 1) / 2
-		stride := 1
-		if total > c.opts.MaxTreePairs {
-			stride = (total + c.opts.MaxTreePairs - 1) / c.opts.MaxTreePairs
-		}
-		count := 0
-		for b := 1; b < n; b++ {
-			e2 := nodes[b]
-			for a := 0; a < b; a++ {
-				e1 := nodes[a]
-				if c.users[e1] == c.users[e2] && !c.opts.IncludeSelf {
-					continue
-				}
-				if c.times[e1] >= c.times[e2] {
-					continue
-				}
-				isAncestor := c.forest.IsAncestor(e1, e2)
-				if !isAncestor && c.opts.DisableLCA {
-					continue
-				}
-				if !isAncestor {
-					// Scenario 2 pairs are the ones subsampled under the cap;
-					// ancestor pairs always survive (they carry the direct
-					// chain-of-influence signal).
-					count++
-					if stride > 1 && count%stride != 0 {
-						continue
-					}
-				}
-				nc := normContribution{
-					t: c.times[e2], i: c.users[e2], j: c.users[e1],
-					e1: int32(e1), e2: int32(e2), lca: -1,
-				}
-				if !isAncestor {
-					nc.lca = int32(c.forest.LCA(e1, e2))
-				}
-				contribs = append(contribs, nc)
-			}
-		}
+// seriesOf returns pair (i, j)'s informational (kind 0) or normative
+// (kind 1) series, empty when the pair has no samples.
+func (c *Computer) seriesOf(i, j int, kind int32) series {
+	if i < 0 || i >= len(c.row)-1 {
+		return series{}
 	}
-	sort.SliceStable(contribs, func(a, b int) bool { return contribs[a].t < contribs[b].t })
-
-	// Scenario-2 running accumulators: polarity-vs-LCA-polarity streams per
-	// ordered pair, from which the recalibrated correlations are drawn.
-	type accKey struct{ i, j int32 }
-	qj := make(map[accKey]*stats.PearsonAcc) // source-side vs LCA
-	qi := make(map[accKey]*stats.PearsonAcc) // receiver-side vs LCA
-	getAcc := func(m map[accKey]*stats.PearsonAcc, k accKey) *stats.PearsonAcc {
-		a, ok := m[k]
-		if !ok {
-			a = &stats.PearsonAcc{}
-			m[k] = a
-		}
-		return a
+	lo, hi := c.row[i], c.row[i+1]
+	k, ok := slices.BinarySearch(c.src[lo:hi], int32(j))
+	if !ok {
+		return series{}
 	}
-	for _, nc := range contribs {
-		p, err := c.pair(nc.i, nc.j, true)
-		if err != nil {
-			return err
-		}
-		if nc.lca < 0 {
-			// Scenario 1: direct polarity pair.
-			p.norm.add(nc.t, c.polar[nc.e1], c.polar[nc.e2])
-			continue
-		}
-		// Scenario 2: recalibrate through the LCA.
-		k := accKey{nc.i, nc.j}
-		lcaPol := c.polar[nc.lca]
-		aj := getAcc(qj, k)
-		ai := getAcc(qi, k)
-		aj.Add(c.polar[nc.e1], lcaPol)
-		ai.Add(c.polar[nc.e2], lcaPol)
-		p.norm.add(nc.t, corrOrSeed(aj, c.polar[nc.e1], lcaPol), corrOrSeed(ai, c.polar[nc.e2], lcaPol))
-	}
-	return nil
+	q := 2*(lo+int32(k)) + kind
+	return c.cols.slice(c.off[q], c.off[q+1])
 }
 
 // offspringCountAt returns ℕᵢ(t): user i's offspring activities up to t.
 func (c *Computer) offspringCountAt(i int, t float64) int {
-	ts := c.offspringTimes[i]
-	lo, hi := 0, len(ts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ts[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return countUpTo(c.kids[c.kidRow[i]:c.kidRow[i+1]], t)
 }
 
 // InfluenceDegree returns Φᵢⱼ(t) of Eq. 5.1 under decay rate β: the
@@ -400,27 +443,14 @@ func (c *Computer) InfluenceDegree(i, j int, t, beta float64) float64 {
 
 // InfluenceDegreeGrad returns Φᵢⱼ(t) and ∂Φᵢⱼ(t)/∂β.
 func (c *Computer) InfluenceDegreeGrad(i, j int, t, beta float64) (phi, dBeta float64) {
-	p := c.query(i, j)
-	if p == nil || p.info.len() == 0 {
-		return 0, 0
-	}
-	n := c.offspringCountAt(i, t)
-	if n == 0 {
-		return 0, 0
-	}
-	sum, dsum := p.info.decaySumAt(t, beta)
-	inv := 1 / float64(n)
-	return sum * inv, dsum * inv
+	g := c.InformationalCursor(i, j, beta)
+	return g.degree(t)
 }
 
 // ContextStance returns Ψᵢⱼ(t): the Pearson correlation of polarities over
 // the j→i parent-child interactions up to t, in [-1, 1].
 func (c *Computer) ContextStance(i, j int, t float64) float64 {
-	p := c.query(i, j)
-	if p == nil {
-		return 0
-	}
-	return p.info.corrAt(t)
+	return c.seriesOf(i, j, 0).corrAt(t)
 }
 
 // Informational returns αᴵᵢⱼ(t) = Φᵢⱼ(t)·Ψᵢⱼ(t).
@@ -442,26 +472,29 @@ func (c *Computer) InformationalGrad(i, j int, t, beta float64) (alpha, dBeta fl
 // bit-identical to it at every query point (the decay recursion's state
 // does not depend on where queries fall between samples).
 type GradCursor struct {
-	c   *Computer
-	p   *pairData
-	i   int
-	cur decayCursor
+	c    *Computer
+	info series
+	i    int
+	cur  decayCursor
 }
 
 // InformationalCursor starts a monotone αᴵᵢⱼ sweep at decay rate beta.
 func (c *Computer) InformationalCursor(i, j int, beta float64) GradCursor {
-	g := GradCursor{c: c, i: i}
-	if p := c.query(i, j); p != nil && p.info.len() > 0 {
-		g.p = p
-		g.cur = p.info.cursor(beta)
-	}
-	return g
+	info := c.seriesOf(i, j, 0)
+	return GradCursor{c: c, info: info, i: i, cur: info.cursor(beta)}
 }
 
 // At returns αᴵᵢⱼ(t) and ∂αᴵᵢⱼ(t)/∂β. Query times must be nondecreasing
 // across calls on one cursor.
 func (g *GradCursor) At(t float64) (alpha, dBeta float64) {
-	if g.p == nil {
+	phi, dphi := g.degree(t)
+	psi := g.info.corrAt(t)
+	return phi * psi, dphi * psi
+}
+
+// degree returns Φᵢⱼ(t) and ∂Φᵢⱼ(t)/∂β, advancing the cursor to t.
+func (g *GradCursor) degree(t float64) (phi, dBeta float64) {
+	if g.info.len() == 0 {
 		return 0, 0
 	}
 	n := g.c.offspringCountAt(g.i, t)
@@ -470,43 +503,29 @@ func (g *GradCursor) At(t float64) (alpha, dBeta float64) {
 	}
 	sum, dsum := g.cur.at(t)
 	inv := 1 / float64(n)
-	phi, dphi := sum*inv, dsum*inv
-	psi := g.p.info.corrAt(t)
-	return phi * psi, dphi * psi
+	return sum * inv, dsum * inv
 }
 
 // Normative returns αᴺᵢⱼ(t) of Eq. 5.2.
 func (c *Computer) Normative(i, j int, t float64) float64 {
-	p := c.query(i, j)
-	if p == nil {
-		return 0
-	}
-	return p.norm.corrAt(t)
+	return c.seriesOf(i, j, 1).corrAt(t)
 }
 
 // InteractionCount returns how many parent-child interactions j→i exist in
 // the whole window (the size of N_ij(T)).
 func (c *Computer) InteractionCount(i, j int) int {
-	p := c.query(i, j)
-	if p == nil {
-		return 0
-	}
-	return p.info.len()
+	return c.seriesOf(i, j, 0).len()
 }
 
 // ActivePairs lists every ordered pair with at least one informational or
 // normative sample — the sparse support the M-step iterates instead of all
-// M² pairs.
+// M² pairs — in (receiver, source) order.
 func (c *Computer) ActivePairs() []PairKey {
-	out := make([]PairKey, 0, len(c.pairs))
-	for k := range c.pairs {
-		out = append(out, PairKey{Receiver: int(k.i), Source: int(k.j)})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Receiver != out[b].Receiver {
-			return out[a].Receiver < out[b].Receiver
+	out := make([]PairKey, 0, len(c.src))
+	for i := 0; i+1 < len(c.row); i++ {
+		for _, j := range c.src[c.row[i]:c.row[i+1]] {
+			out = append(out, PairKey{Receiver: i, Source: int(j)})
 		}
-		return out[a].Source < out[b].Source
-	})
+	}
 	return out
 }

@@ -7,52 +7,55 @@ import (
 
 // series is a chronologically ordered stream of paired polarity samples
 // with prefix moments, so the Pearson correlation restricted to any prefix
-// [0, t] — the time-varying context stance — is an O(log n) query.
+// [0, t] — the time-varying context stance — is an O(log n) query. A
+// Computer keeps all its series back to back in one pair of columns; a
+// series value is a window onto them.
 type series struct {
 	times []float64
-	// Cumulative moments; index k holds sums over the first k samples, so
-	// len = len(times)+1 with a leading zero entry. ssgn accumulates
-	// sign(x·y): the per-sample agreement indicator.
-	sx, sy, sxx, syy, sxy, ssgn []float64
+	sums  []moments // sums[k] totals samples 0..k
 }
 
-func newSeries() *series {
-	return &series{
-		sx: []float64{0}, sy: []float64{0}, sxx: []float64{0},
-		syy: []float64{0}, sxy: []float64{0}, ssgn: []float64{0},
-	}
+// moments are the cumulative sums of a series prefix. sgn accumulates
+// sign(x·y): the per-sample agreement indicator.
+type moments struct{ sx, sy, sxx, syy, sxy, sgn float64 }
+
+// slice returns the window of samples [lo, hi).
+func (s series) slice(lo, hi int32) series {
+	return series{times: s.times[lo:hi], sums: s.sums[lo:hi]}
 }
 
-// add appends a sample at time t (which must be >= the last time).
+// put writes sample k at time t (which must be >= sample k-1's), given
+// samples 0..k-1 already in place.
 // A non-finite polarity on either side voids the whole pair — both values
 // are recorded as 0 ("no measurable stance"). A NaN would otherwise poison
 // every prefix sum after it and make corrAt return NaN for all later
 // queries, and zeroing only the bad side would fabricate stance from the
 // surviving one; the timestamp is kept either way so decay sums still see
 // the interaction.
-func (s *series) add(t, x, y float64) {
+func (s series) put(k int, t, x, y float64) {
 	if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
 		x, y = 0, 0
 	}
-	n := len(s.times)
-	s.times = append(s.times, t)
-	s.sx = append(s.sx, s.sx[n]+x)
-	s.sy = append(s.sy, s.sy[n]+y)
-	s.sxx = append(s.sxx, s.sxx[n]+x*x)
-	s.syy = append(s.syy, s.syy[n]+y*y)
-	s.sxy = append(s.sxy, s.sxy[n]+x*y)
+	var p moments
+	if k > 0 {
+		p = s.sums[k-1]
+	}
 	sg := 0.0
-	if p := x * y; p > 0 {
+	if xy := x * y; xy > 0 {
 		sg = 1
-	} else if p < 0 {
+	} else if xy < 0 {
 		sg = -1
 	}
-	s.ssgn = append(s.ssgn, s.ssgn[n]+sg)
+	s.times[k] = t
+	s.sums[k] = moments{p.sx + x, p.sy + y, p.sxx + x*x, p.syy + y*y, p.sxy + x*y, p.sgn + sg}
 }
 
 // countAt returns how many samples have time ≤ t.
-func (s *series) countAt(t float64) int {
-	return sort.SearchFloat64s(s.times, math.Nextafter(t, math.Inf(1)))
+func (s series) countAt(t float64) int { return countUpTo(s.times, t) }
+
+// countUpTo returns how many of the sorted times are ≤ t.
+func countUpTo(times []float64, t float64) int {
+	return sort.SearchFloat64s(times, math.Nextafter(t, math.Inf(1)))
 }
 
 // corrAt returns the context-stance of the samples with time ≤ t: the
@@ -68,16 +71,17 @@ func (s *series) countAt(t float64) int {
 // reading of "i's stance aligns with j's"; the blend converges to Pcc as
 // evidence accumulates. Without a fallback every pair would contribute
 // zero excitation until its stance history is rich, starving the EM loop.
-func (s *series) corrAt(t float64) float64 {
+func (s series) corrAt(t float64) float64 {
 	k := s.countAt(t)
 	if k == 0 {
 		return 0
 	}
+	m := &s.sums[k-1]
 	n := float64(k)
-	agree := s.ssgn[k] / n
-	cov := s.sxy[k] - s.sx[k]*s.sy[k]/n
-	vx := s.sxx[k] - s.sx[k]*s.sx[k]/n
-	vy := s.syy[k] - s.sy[k]*s.sy[k]/n
+	agree := m.sgn / n
+	cov := m.sxy - m.sx*m.sy/n
+	vx := m.sxx - m.sx*m.sx/n
+	vy := m.syy - m.sy*m.sy/n
 	if k < 2 || vx <= 1e-15 || vy <= 1e-15 {
 		return agree
 	}
@@ -96,7 +100,7 @@ func (s *series) corrAt(t float64) float64 {
 }
 
 // len returns the total number of samples.
-func (s *series) len() int { return len(s.times) }
+func (s series) len() int { return len(s.times) }
 
 // decayCursor incrementally evaluates Σ_{times[k] ≤ t} e^{−β(t−times[k])}
 // and its β-derivative for ONE fixed β at nondecreasing query times, via the
@@ -115,7 +119,7 @@ func (s *series) len() int { return len(s.times) }
 // recursion state, so interleaving queries with sample consumption yields
 // bit-identical floats to a one-shot evaluation at the final time.
 type decayCursor struct {
-	s    *series
+	ts   []float64 // the series' sample times
 	beta float64
 	idx  int     // samples consumed so far
 	a    float64 // A_k: decayed count at the last consumed sample
@@ -124,8 +128,8 @@ type decayCursor struct {
 }
 
 // cursor starts a monotone decay-sum sweep at the given decay rate.
-func (s *series) cursor(beta float64) decayCursor {
-	return decayCursor{s: s, beta: beta}
+func (s series) cursor(beta float64) decayCursor {
+	return decayCursor{ts: s.times, beta: beta}
 }
 
 // at returns the decayed sum and its β-derivative at time t. Query times
@@ -133,7 +137,7 @@ func (s *series) cursor(beta float64) decayCursor {
 // (the tie rule matches countAt's Nextafter upper bound: a sample exactly at
 // t counts, with e^0 = 1).
 func (c *decayCursor) at(t float64) (sum, dBeta float64) {
-	ts := c.s.times
+	ts := c.ts
 	for c.idx < len(ts) && ts[c.idx] <= t {
 		tk := ts[c.idx]
 		if c.idx == 0 {
@@ -153,14 +157,4 @@ func (c *decayCursor) at(t float64) (sum, dBeta float64) {
 	delta := t - c.last
 	e := math.Exp(-c.beta * delta)
 	return c.a * e, -(c.b + delta*c.a) * e
-}
-
-// decaySumAt returns Σ_{times[k] ≤ t} e^{−β(t−times[k])} and its derivative
-// with respect to β, −Σ (t−times[k])·e^{−β(t−times[k])} — the numerator of
-// the influence degree Φ (Eq. 5.1) and what the M-step's β-gradient needs.
-// One-shot wrapper over the recursion cursor; callers issuing many queries
-// at the same β should hold a cursor instead.
-func (s *series) decaySumAt(t, beta float64) (sum, dBeta float64) {
-	c := s.cursor(beta)
-	return c.at(t)
 }

@@ -261,6 +261,9 @@ func runEM(ctx context.Context, c corpus, cfg Config) (*Model, error) {
 		if !cfg.Variant.ConformityAware {
 			return nil
 		}
+		// Drop the outgoing snapshot first so it is not live during the
+		// build of its replacement.
+		conf = nil
 		var err error
 		conf, err = c.buildConformity(forest, cfg.Conformity)
 		return err
@@ -486,6 +489,7 @@ func runEM(ctx context.Context, c corpus, cfg Config) (*Model, error) {
 	}
 	m.Forest = forest
 	if cfg.Variant.ConformityAware {
+		conf = nil
 		m.Conf, err = c.buildConformity(forest, cfg.Conformity)
 		if err != nil {
 			return nil, err
